@@ -77,5 +77,4 @@ class Certificate:
 
 
 def tol_dict(tol=DEFAULT_TOL):
-    return {"psd_tol": tol.psd_tol, "eq_tol": tol.eq_tol,
-            "jacobi_tol": tol.jacobi_tol, "max_sweeps": tol.max_sweeps}
+    return {"psd_tol": tol.psd_tol, "eq_tol": tol.eq_tol}

@@ -100,18 +100,3 @@ def identity_map(d):
 def transpose_map(d):
     return LinMap(d, d, apply_fn=lambda x: x.T.copy(), name="transpose")
 
-
-def choi_of(m: LinMap, normalized=True):
-    return m.choi(normalized=normalized)
-
-
-def apply(m: LinMap, x):
-    return m(x)
-
-
-def adjoint(m: LinMap):
-    return m.adjoint()
-
-
-def id_tensor_apply(m: LinMap, rho, d_id):
-    return m.id_tensor(rho, d_id)

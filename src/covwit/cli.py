@@ -62,16 +62,12 @@ def cmd_certify(args):
         co = hh.HHCoeffs(args.d, parse_number(args.a), parse_number(args.b),
                          parse_number(args.c))
         cert = hh.decide(co, tol=tol, seed=args.seed)
-    elif args.family == "werner3":
-        v = parse_coeffs(args.coeffs)
-        c = werner3.S3Coeffs(args.d, v[0], v[1], v[2], v[3],
-                             complex(v[4], v[5]))
-        cert = werner3.detect_entanglement_w3(c, grid=args.grid, tol=tol,
-                                              seed=args.seed)
     else:
-        v = parse_coeffs(args.coeffs)
-        c = quo.QuoCoeffs(args.d, v[0], v[1], v[2], v[3], complex(v[4], v[5]))
-        cert = quo.decide_quo(c, grid=args.grid, tol=tol, seed=args.seed)
+        cls, decide = ((werner3.S3Coeffs, werner3.detect_entanglement_w3)
+                       if args.family == "werner3"
+                       else (quo.QuoCoeffs, quo.decide_quo))
+        c = cls.from_tuple6(args.d, parse_coeffs(args.coeffs))
+        cert = decide(c, grid=args.grid, tol=tol, seed=args.seed)
     emit_certificate(cert, args)
     return 0
 
@@ -91,23 +87,25 @@ def cmd_state(args):
 
 def map_from_file(path):
     obj = serialize.load_json(path)
+    if not isinstance(obj, dict):
+        raise ContractError(f"map JSON in {path} is not an object")
     if "choi_unnormalized" in obj:
         c = serialize.matrix_from_obj(obj["choi_unnormalized"])
         return LinMap(int(obj["d_in"]), int(obj["d_out"]), choi_unnorm=c)
     fam = obj.get("family")
+    if fam not in ("hh", "werner3-L", "quo-M"):
+        raise ContractError(f"unrecognized map JSON in {path}")
     co = obj.get("coeffs")
+    if not isinstance(co, dict):
+        raise ContractError(f"map JSON in {path} needs a \"coeffs\" object")
     if fam == "hh":
         return hh.build_psi(hh.HHCoeffs(int(obj["d"]), co["a"], co["b"],
                                         co["c"]))
-    if fam == "werner3-L":
-        return werner3.build_map(werner3.S3Coeffs(
-            int(obj["d"]), co["a_e"], co["a_12"], co["a_13"], co["a_23"],
-            complex(co["re_123"], co.get("im_123", 0.0))))
-    if fam == "quo-M":
-        return quo.build_map(quo.QuoCoeffs(
-            int(obj["d"]), co["a_e"], co["a_12"], co["a_13"], co["a_23"],
-            complex(co["re_123"], co.get("im_123", 0.0))))
-    raise ContractError(f"unrecognized map JSON in {path}")
+    mod, cls = ((werner3, werner3.S3Coeffs) if fam == "werner3-L"
+                else (quo, quo.QuoCoeffs))
+    return mod.build_map(cls.from_tuple6(int(obj["d"]), (
+        co["a_e"], co["a_12"], co["a_13"], co["a_23"], co["re_123"],
+        co.get("im_123", 0.0))))
 
 
 def cmd_witness(args):

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: tensor products, partial transposes, and a
-cyclic complex Jacobi eigensolver for Hermitian matrices."""
+"""Dense complex linear algebra: tensor products, partial transposes, and
+Hermitian and PSD checks."""
 
 from dataclasses import dataclass
 
@@ -34,14 +34,10 @@ class Tolerances:
 
     psd_tol: float = 1e-9
     eq_tol: float = 1e-10
-    jacobi_tol: float = 1e-13
-    max_sweeps: int = 64
 
     def __post_init__(self):
-        if min(self.psd_tol, self.eq_tol, self.jacobi_tol) <= 0:
+        if min(self.psd_tol, self.eq_tol) <= 0:
             raise ValueError("tolerances must be strictly positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
 
 
 DEFAULT_TOL = Tolerances()
@@ -142,58 +138,6 @@ def check_hermitian(x, tol=DEFAULT_TOL):
     if dev > tol.eq_tol * (1.0 + max_abs(x)):
         raise ContractError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return (x + x.conj().T) / 2.0
-
-
-def _offdiag_norm(a):
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
-
-
-def herm_eigvals(x, tol=DEFAULT_TOL):
-    """Eigenvalues of a Hermitian matrix, ascending, by cyclic complex Jacobi.
-
-    Sweeps 2x2 rotations over all index pairs until the off-diagonal
-    Frobenius norm drops below jacobi_tol * ||x||_F.
-    """
-    a = check_hermitian(x, tol)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = frob(a)
-    if scale == 0.0:
-        return np.zeros(n)
-    a = a.copy()
-    for _ in range(tol.max_sweeps):
-        if _offdiag_norm(a) <= tol.jacobi_tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-300:
-                    continue
-                # phase out a[p,q], then a real rotation zeroes the pair:
-                # u = [[c, -s], [conj(phase)*s, conj(phase)*c]],  a <- u* a u
-                phase = apq / r
-                theta = 0.5 * np.arctan2(2.0 * r, (a[p, p] - a[q, q]).real)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                colp = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                colq = -s * a[:, p] + c * np.conj(phase) * a[:, q]
-                a[:, p] = colp
-                a[:, q] = colq
-                rowp = c * a[p, :] + s * phase * a[q, :]
-                rowq = -s * a[p, :] + c * phase * a[q, :]
-                a[p, :] = rowp
-                a[q, :] = rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        raise NumericalError(
-            f"Jacobi eigensolver failed to converge in {tol.max_sweeps} sweeps"
-        )
-    return np.sort(np.diag(a).real)
 
 
 def eigvals_fast(x, tol=DEFAULT_TOL):

@@ -74,7 +74,7 @@ def brute_positive_sample(m: LinMap, n=1000, seed=0, extra_vectors=(),
     return worst >= -tol.psd_tol * max(1.0, scale), worst
 
 
-def _batched_conjugation_average(x, gens, batch=512):
+def _batched_conjugation_average(x, gens):
     """Mean of g x g* over a generator yielding stacked (k, n, n) arrays."""
     acc = np.zeros_like(x)
     total = 0
@@ -129,7 +129,7 @@ def haar_twirl_mc(x, family, n=10000, seed=0, d=None, batch=512):
                 yield np.einsum("kab,kcd,kef->kacebdf", u, mid,
                                 u).reshape(k, nn, nn)
 
-    return _batched_conjugation_average(x, gens(), batch)
+    return _batched_conjugation_average(x, gens())
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -139,8 +139,7 @@ def random_hermitian(rng, n, scale=1.0):
 
 def selftest(seed=0, level="quick", out=print):
     """Oracle-agreement suite; returns (all_ok, results) and prints a table."""
-    from . import hh, quo, werner3
-    from .linalg import herm_eigvals
+    from . import hh, quo, s3, werner3
 
     if level not in ("quick", "full"):
         raise ContractError("level must be 'quick' or 'full'")
@@ -155,17 +154,6 @@ def selftest(seed=0, level="quick", out=print):
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {exc!r}"
         results.append((name, bool(ok), detail, time.time() - t0))
-
-    def jacobi_check():
-        worst = 0.0
-        for _ in range(40 if big else 10):
-            n = int(rng.integers(2, 17))
-            h = random_hermitian(rng, n)
-            dev = np.abs(herm_eigvals(h) - np.linalg.eigvalsh(h)).max()
-            worst = max(worst, dev)
-        return worst < 1e-9, f"max dev {worst:.2e}"
-
-    check("jacobi-vs-lapack", jacobi_check)
 
     def hh_region():
         n = 3000 if big else 500
@@ -197,10 +185,10 @@ def selftest(seed=0, level="quick", out=print):
         n = 3000 if big else 500
         bad = 0
         for _ in range(n):
-            c = _random_w3(rng, 3)
+            c = _random_coeffs(werner3.S3Coeffs, rng, 3)
             if werner3.is_positive_w3(c) != brute_positive_orbit(
                     werner3.build_map(c))[0]:
-                if _w3_margin_interior(c):
+                if _margin_interior(werner3.positivity_margins_w3(c)):
                     bad += 1
         return bad == 0, f"{bad} disagreements / {n}"
 
@@ -210,7 +198,7 @@ def selftest(seed=0, level="quick", out=print):
         n = 1000 if big else 200
         bad = 0
         for _ in range(n):
-            c = _random_w3(rng, 3)
+            c = _random_coeffs(werner3.S3Coeffs, rng, 3)
             x = werner3.invariant_matrix(c)
             if werner3.is_cp_w3(c) != is_psd(x)[0]:
                 bad += 1
@@ -238,10 +226,10 @@ def selftest(seed=0, level="quick", out=print):
         bad = 0
         for d in (2, 3):
             for _ in range(n // 2):
-                c = _random_quo(rng, d)
-                if is_positive_quo_strict(c) != brute_positive_orbit(
+                c = _random_coeffs(quo.QuoCoeffs, rng, d)
+                if quo.is_positive_quo(c) != brute_positive_orbit(
                         quo.build_map(c))[0]:
-                    if _quo_margin_interior(c):
+                    if _margin_interior(quo.positivity_margins_quo(c)):
                         bad += 1
         return bad == 0, f"{bad} disagreements / {n}"
 
@@ -252,18 +240,9 @@ def selftest(seed=0, level="quick", out=print):
         bad = 0
         for d in (2, 3):
             types = ("III", "IV") if d == 3 else ("I'", "II'")
-            for u in np.linspace(-1, 1, grid):
-                aa, bb = (1 + u) / 2, (1 - u) / 2
-                cmax = np.sqrt(aa * bb)
-                for cc in np.linspace(-cmax, cmax, grid):
-                    for sign in (1, -1):
-                        for t in types:
-                            try:
-                                ex = quo.extremal_quo(t, aa, bb, cc, sign, d)
-                            except ContractError:
-                                continue
-                            if not (ex.cp or ex.ccp):
-                                bad += 1
+            for ex in s3.extremal_grid(quo.extremal_quo, types, d, grid):
+                if not (ex.cp or ex.ccp):
+                    bad += 1
         return bad == 0, f"{bad} non-CP-non-CCP extremals"
 
     check("quo-extremals-cp-or-ccp", quo_extremal)
@@ -322,33 +301,9 @@ def _random_cptp_hh(rng, d):
             return co
 
 
-def _random_w3(rng, d):
-    from .werner3 import S3Coeffs
-
-    v = rng.uniform(-1, 1, size=6)
-    return S3Coeffs(d, v[0], v[1], v[2], v[3], complex(v[4], v[5]))
+def _random_coeffs(cls, rng, d):
+    return cls.from_tuple6(d, rng.uniform(-1, 1, size=6))
 
 
-def _random_quo(rng, d):
-    from .quo import QuoCoeffs
-
-    v = rng.uniform(-1, 1, size=6)
-    return QuoCoeffs(d, v[0], v[1], v[2], v[3], complex(v[4], v[5]))
-
-
-def is_positive_quo_strict(c):
-    from .quo import is_positive_quo
-
-    return is_positive_quo(c)
-
-
-def _w3_margin_interior(c, band=1e-7):
-    from .werner3 import positivity_margins_w3
-
-    return all(abs(m) > band for m in positivity_margins_w3(c))
-
-
-def _quo_margin_interior(c, band=1e-7):
-    from .quo import positivity_margins_quo
-
-    return all(abs(m) > band for m in positivity_margins_quo(c))
+def _margin_interior(margins, band=1e-7):
+    return all(abs(m) > band for m in margins)

@@ -9,66 +9,23 @@ five-coefficient frame at d = 2, where the T_sigma acquire a linear
 relation).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .certificate import Certificate, tol_dict, verdict_str
+from . import s3, werner3
+from .certificate import Certificate
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
+from .linalg import (DEFAULT_TOL, ContractError, DimensionError, is_psd,
                      partial_transpose)
-from .twirl import PERMS, build_T
-from . import werner3
-from .werner3 import S3Coeffs, Table2Block
+from .twirl import build_T
+from .werner3 import S3Coeffs
 
 
-@dataclass(frozen=True)
-class QuoCoeffs:
+class QuoCoeffs(s3.Coeffs):
     """Coefficients over the T_sigma basis, same layout and reality pattern
     as the Werner family; at d = 2 the a_e coefficient is redundant and gets
     folded into the others by reduce_d2."""
 
-    d: int
-    a_e: float
-    a_12: float
-    a_13: float
-    a_23: float
-    a_123: complex
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise DimensionError("d must be >= 2")
-        vals = (self.a_e, self.a_12, self.a_13, self.a_23)
-        if not all(np.isfinite(v) and np.imag(v) == 0 for v in vals):
-            raise ContractError("a_e, a_12, a_13, a_23 must be finite reals")
-        if not np.isfinite(complex(self.a_123)):
-            raise ContractError("a_123 must be finite")
-
-    @property
-    def r(self):
-        return complex(self.a_123).real
-
-    @property
-    def s(self):
-        return complex(self.a_123).imag
-
-    def vector(self):
-        q = complex(self.a_123)
-        return np.array([self.a_e, self.a_12, self.a_13, self.a_23,
-                         q, q.conjugate()])
-
-    def scale(self):
-        return max(1.0, max(abs(v) for v in self.vector()))
-
-
-@dataclass(frozen=True)
-class QuoExtremal:
-    type: str           # "I".."IV" for d >= 3; "I'" | "II'" for d = 2
-    params: tuple
-    sign: int
-    realized: QuoCoeffs
-    cp: bool
-    ccp: bool
+    MIN_D = 2
 
 
 def reduce_d2(c: QuoCoeffs) -> QuoCoeffs:
@@ -97,26 +54,13 @@ def build_M(sigma, d) -> LinMap:
 
 
 def build_map(c: QuoCoeffs) -> LinMap:
-    maps = [build_M(s, c.d) for s in PERMS]
-    w = c.vector()
-
-    def fn(x):
-        out = np.zeros((c.d * c.d, c.d * c.d), dtype=complex)
-        for wi, m in zip(w, maps):
-            if wi != 0:
-                out += wi * m(x)
-        return out
-
-    return LinMap(c.d, c.d * c.d, apply_fn=fn, family="quo-M", coeffs=c)
+    """M = sum_sigma a_sigma M_sigma as a single structured map."""
+    return s3.build_map(c, build_M, "quo-M")
 
 
 def invariant_matrix(c: QuoCoeffs):
     """X = sum_sigma a_sigma T_sigma on (C^d)^3."""
-    out = np.zeros((c.d**3, c.d**3), dtype=complex)
-    for wi, s in zip(c.vector(), PERMS):
-        if wi != 0:
-            out += wi * build_T(s, c.d)
-    return out
+    return s3.invariant_matrix(c, build_T)
 
 
 def positivity_margins_quo(c: QuoCoeffs):
@@ -142,17 +86,12 @@ def positivity_margins_quo(c: QuoCoeffs):
 
 
 def is_positive_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
-    s = c.scale()
-    ms = positivity_margins_quo(c)
-    bands = (s,) * (len(ms) - 1) + (s * s,)
-    return all(m >= -tol.psd_tol * b for m, b in zip(ms, bands))
+    return s3.margins_ok(positivity_margins_quo(c), c.scale(), tol)
 
 
 def is_cp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     """CP of M / PSD-ness of sum a_sigma T_sigma."""
     if c.d == 2:
-        from .linalg import is_psd
-
         return is_psd(invariant_matrix(reduce_d2(c)), tol)[0]
     return werner3.is_ccp_w3(werner3.relabel(_as_w3(c), "12"), tol)
 
@@ -160,8 +99,6 @@ def is_cp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
 def is_ccp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     """CCP of M / PSD-ness of (sum a_sigma T_sigma)^{T_A}."""
     if c.d == 2:
-        from .linalg import is_psd
-
         x = partial_transpose(invariant_matrix(reduce_d2(c)), [2, 2, 2], 0)
         return is_psd(x, tol)[0]
     return werner3.is_ccp_w3(werner3.relabel(_as_w3(c), "13"), tol)
@@ -175,8 +112,6 @@ def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     A-partial-transposed V-combination.
     """
     if c.d == 2:
-        from .linalg import is_psd
-
         x = invariant_matrix(reduce_d2(c))
         return {
             "A-BC": is_psd(partial_transpose(x, [2, 2, 2], 0), tol)[0],
@@ -191,22 +126,16 @@ def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     }
 
 
-def trace_quo(c: QuoCoeffs):
-    d = c.d
-    return d**3 * c.a_e + d**2 * (c.a_12 + c.a_13 + c.a_23) + 2 * d * c.r
+trace_quo = QuoCoeffs.trace
 
 
-TP_TOL = 1e-12
-
-
-def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> QuoExtremal:
+def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1,
+                 d=3) -> s3.Extremal:
     """Extremal trace-preserving positive covariant map; Types I-IV for
     d >= 3, Types I'/II' for d = 2."""
-    sgn = 1 if sign >= 0 else -1
     if type_name in ("III", "IV", "I'", "II'"):
-        if A < 0 or B < 0 or A * B < C * C - TP_TOL:
-            raise ContractError("need A,B >= 0 and AB >= C^2")
-    ss = sgn * np.sqrt(max(A * B - C * C, 0.0))
+        s3.check_params(A, B, C)
+    sgn, ss = s3.signed_root(A, B, C, sign)
 
     if d >= 3:
         if type_name == "I":
@@ -228,52 +157,23 @@ def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> QuoExtremal:
         else:
             raise ContractError(
                 f"unknown extremal type {type_name!r} for d = 2")
-
-    ae, a12, a13, a23, r, s = tup
-    norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
-    if norm <= TP_TOL:
-        raise ContractError(
-            f"degenerate trace-preservation normalizer for Type {type_name} "
-            f"params {(A, B, C)}")
-    f = 1.0 / norm
-    realized = QuoCoeffs(d, f * ae, f * a12, f * a13, f * a23,
-                         complex(f * r, f * s))
-    if not is_positive_quo(realized):
-        raise ContractError(
-            f"Type {type_name} tuple failed the positivity inequalities")
-    return QuoExtremal(type_name, (A, B, C), sgn, realized,
-                       cp=is_cp_quo(realized), ccp=is_ccp_quo(realized))
+    return s3.extremal(QuoCoeffs, d, type_name, (A, B, C), sgn, tup,
+                       (is_positive_quo, is_cp_quo, is_ccp_quo))
 
 
 def state_check(c: QuoCoeffs, tol=DEFAULT_TOL):
-    tr = trace_quo(c)
-    if abs(tr - 1.0) > tol.eq_tol * c.d**3:
-        raise ContractError(f"trace {tr} != 1: not a normalized state")
-    if not is_cp_quo(c, tol):
-        raise ContractError("coefficient matrix is not PSD: not a state")
+    """Raise unless the coefficients describe a quantum state."""
+    s3.state_check(c, is_cp_quo, tol)
 
 
 def _witness_rows(d, grid):
-    rows = []
+    """Catalogue rows: Types I and II, then III/IV over the (A-B, C, sign)
+    grid; at d = 2 only I'/II' over the grid."""
     if d >= 3:
-        for t in ("I", "II"):
-            rows.append((t, extremal_quo(t, d=d).realized.vector()))
-        types = ("III", "IV")
-    else:
-        types = ("I'", "II'")
-    for u in np.linspace(-1.0, 1.0, grid):
-        A, B = (1 + u) / 2, (1 - u) / 2
-        cmax = np.sqrt(A * B)
-        for C in np.linspace(-cmax, cmax, grid):
-            for sign in (+1, -1):
-                for t in types:
-                    try:
-                        ex = extremal_quo(t, A, B, C, sign, d)
-                    except ContractError:
-                        continue
-                    rows.append((f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]",
-                                 ex.realized.vector()))
-    return rows
+        rows = [(t, extremal_quo(t, d=d).realized.vector())
+                for t in ("I", "II")]
+        return rows + s3.grid_rows(extremal_quo, ("III", "IV"), d, grid)
+    return s3.grid_rows(extremal_quo, ("I'", "II'"), d, grid)
 
 
 def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL, seed=0) -> Certificate:
@@ -285,13 +185,9 @@ def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL, seed=0) -> Certificate:
     """
     state_check(c, tol)
     d = c.d
-    cert = Certificate("quo", d, {
-        "a_e": c.a_e, "a_12": c.a_12, "a_13": c.a_13, "a_23": c.a_23,
-        "re_123": c.r, "im_123": c.s,
-    }, tolerances=tol_dict(tol), seed=seed)
+    cert = s3.certificate("quo", c, tol, seed)
 
     rho = invariant_matrix(reduce_d2(c) if d == 2 else c)
-    band = tol.psd_tol * max(1.0, float(np.linalg.norm(rho)))
     pt_min = float(np.linalg.eigvalsh(
         partial_transpose(rho, [d, d, d], 0))[0])
 
@@ -301,18 +197,10 @@ def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL, seed=0) -> Certificate:
     cert.checks["ppt_A-BC"]["evidence"]["pt_min_eig"] = pt_min
     cert.add_check("separable_A-BC", ppt["A-BC"])
 
-    ks = np.array([build_M(s, d).adjoint().id_tensor(rho, d) for s in PERMS])
     rows = _witness_rows(d, grid)
-    coeffs = np.array([v for _, v in rows])
-    outs = np.tensordot(coeffs, ks, axes=([1], [0]))
-    outs = (outs + np.conj(np.swapaxes(outs, 1, 2))) / 2
-    mins = np.linalg.eigvalsh(outs)[:, 0].real
+    mins, _ = s3.witness_sweep(cert, rho, build_M, rows, tol)
     worst = int(np.argmin(mins))
     cert.witnesses.append({"id": rows[worst][0],
                            "min_eig": float(mins[worst])})
-    cert.checks["witness_sweep"] = {
-        "verdict": verdict_str(bool(mins.min() >= -band)),
-        "evidence": {"count": len(rows), "min_eig": float(mins.min())},
-    }
     cert.verdict = "SEPARABLE" if ppt["A-BC"] else "ENTANGLED"
     return cert

@@ -1,0 +1,224 @@
+"""Shared core of the two S3-indexed families.
+
+U(x)U(x)U-invariant operators (werner3) are spanned by the six permutation
+operators V_sigma, U(x)Ubar(x)U-invariant ones (quo) by T_sigma =
+V_sigma^{T_B}.  Both families store the same six coefficients, normalize
+extremal maps the same way and sweep the same witness catalogue; this module
+holds that common part.  Everything basis-specific (the operator builders,
+closed forms and verdict rules) stays in werner3.py and quo.py and is passed
+in, looked up in the family module at call time.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .certificate import Certificate, tol_dict, verdict_str
+from .choi import LinMap
+from .linalg import DEFAULT_TOL, ContractError, DimensionError
+from .twirl import PERMS
+
+TP_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Coeffs:
+    """Coefficients over a six-operator S3-indexed basis with the Hermitian
+    reality pattern: a_e, a_12, a_13, a_23 real, a_132 = conj(a_123) (never
+    stored).  Subclasses set MIN_D, the least d at which the family's
+    coefficients are valid."""
+
+    d: int
+    a_e: float
+    a_12: float
+    a_13: float
+    a_23: float
+    a_123: complex
+
+    def __post_init__(self):
+        if self.d < self.MIN_D:
+            raise DimensionError(f"d must be >= {self.MIN_D}")
+        vals = (self.a_e, self.a_12, self.a_13, self.a_23)
+        if not all(np.isfinite(v) and np.imag(v) == 0 for v in vals):
+            raise ContractError("a_e, a_12, a_13, a_23 must be finite reals")
+        if not np.isfinite(complex(self.a_123)):
+            raise ContractError("a_123 must be finite")
+
+    @classmethod
+    def from_tuple6(cls, d, v):
+        """From (a_e, a_12, a_13, a_23, re a_123, im a_123)."""
+        return cls(d, v[0], v[1], v[2], v[3], complex(v[4], v[5]))
+
+    @property
+    def r(self):
+        return complex(self.a_123).real
+
+    @property
+    def s(self):
+        return complex(self.a_123).imag
+
+    def as_tuple6(self):
+        return (self.a_e, self.a_12, self.a_13, self.a_23, self.r, self.s)
+
+    def vector(self):
+        """Length-6 complex coefficient vector ordered as PERMS."""
+        q = complex(self.a_123)
+        return np.array([self.a_e, self.a_12, self.a_13, self.a_23,
+                         q, q.conjugate()])
+
+    def scale(self):
+        return max(1.0, max(abs(v) for v in self.vector()))
+
+    def scale_by(self, f):
+        return type(self)(self.d, f * self.a_e, f * self.a_12, f * self.a_13,
+                          f * self.a_23, f * complex(self.a_123))
+
+    def trace(self):
+        """Trace of sum_sigma a_sigma X_sigma on (C^d)^3; the same for the
+        V and the T basis."""
+        d = self.d
+        return (d**3 * self.a_e + d**2 * (self.a_12 + self.a_13 + self.a_23)
+                + 2 * d * self.r)
+
+
+@dataclass(frozen=True)
+class Extremal:
+    """An extremal trace-preserving positive covariant map."""
+
+    type: str           # werner3: "I".."III"; quo: "I".."IV", d = 2: "I'", "II'"
+    params: tuple       # (A, B, C)
+    sign: int
+    realized: Coeffs
+    cp: bool
+    ccp: bool
+
+
+def check_params(A, B, C):
+    """The A, B >= 0, AB >= C^2 condition on continuous extremal types."""
+    if A < 0 or B < 0 or A * B < C * C - TP_TOL:
+        raise ContractError("need A,B >= 0 and AB >= C^2")
+
+
+def signed_root(A, B, C, sign):
+    """(sign as +-1, that sign times sqrt(AB - C^2))."""
+    sgn = 1 if sign >= 0 else -1
+    return sgn, sgn * np.sqrt(max(A * B - C * C, 0.0))
+
+
+def extremal(cls, d, type_name, params, sign, tup, tests):
+    """Normalize the raw coefficient tuple of a map to trace preservation
+    and check it positive.  tests is the family's (is_positive, is_cp,
+    is_ccp)."""
+    is_positive, is_cp, is_ccp = tests
+    ae, a12, a13, a23, r, s = tup
+    norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
+    if norm <= TP_TOL:
+        raise ContractError(
+            f"degenerate trace-preservation normalizer for Type {type_name} "
+            f"params {params}")
+    f = 1.0 / norm
+    realized = cls(d, f * ae, f * a12, f * a13, f * a23,
+                   complex(f * r, f * s))
+    if not is_positive(realized):
+        raise ContractError(
+            f"Type {type_name} tuple failed the positivity inequalities")
+    return Extremal(type_name, params, sign, realized,
+                    cp=is_cp(realized), ccp=is_ccp(realized))
+
+
+def margins_ok(margins, scale, tol=DEFAULT_TOL):
+    """Band test of positivity margins: every margin but the last is linear
+    in the coefficients and may dip to -psd_tol * scale, the last one is
+    quadratic and may dip to -psd_tol * scale^2."""
+    return (all(m >= -tol.psd_tol * scale for m in margins[:-1])
+            and margins[-1] >= -tol.psd_tol * (scale * scale))
+
+
+def build_map(c: Coeffs, build_one, family) -> LinMap:
+    """sum_sigma a_sigma W_sigma as one structured map, W_sigma =
+    build_one(sigma, d)."""
+    maps = [build_one(s, c.d) for s in PERMS]
+    w = c.vector()
+
+    def fn(x):
+        out = np.zeros((c.d * c.d, c.d * c.d), dtype=complex)
+        for wi, m in zip(w, maps):
+            if wi != 0:
+                out += wi * m(x)
+        return out
+
+    return LinMap(c.d, c.d * c.d, apply_fn=fn, family=family, coeffs=c)
+
+
+def invariant_matrix(c: Coeffs, build_op):
+    """X = sum_sigma a_sigma X_sigma on (C^d)^3, X_sigma = build_op(sigma, d)."""
+    out = np.zeros((c.d**3, c.d**3), dtype=complex)
+    for wi, s in zip(c.vector(), PERMS):
+        if wi != 0:
+            out += wi * build_op(s, c.d)
+    return out
+
+
+def state_check(c: Coeffs, is_cp, tol=DEFAULT_TOL):
+    """Raise unless the coefficients describe a quantum state."""
+    tr = c.trace()
+    if abs(tr - 1.0) > tol.eq_tol * c.d**3:
+        raise ContractError(f"trace {tr} != 1: not a normalized state")
+    if not is_cp(c, tol):
+        raise ContractError("coefficient matrix is not PSD: not a state")
+
+
+def extremal_grid(extremal_fn, types, d, grid):
+    """Extremals of the given continuous types over a compact (A-B, C, sign)
+    grid at A+B=1; grid points the closed forms reject are skipped."""
+    if grid < 2:
+        raise ContractError(f"witness grid must be >= 2, got {grid}")
+    for u in np.linspace(-1.0, 1.0, grid):
+        A, B = (1 + u) / 2, (1 - u) / 2
+        cmax = np.sqrt(A * B)
+        for C in np.linspace(-cmax, cmax, grid):
+            for sign in (+1, -1):
+                for t in types:
+                    try:
+                        ex = extremal_fn(t, A, B, C, sign, d)
+                    except ContractError:
+                        continue
+                    yield ex
+
+
+def grid_rows(extremal_fn, types, d, grid):
+    """Catalogue rows (id, coefficient vector) of extremal_grid."""
+    return [(f"{ex.type}[{ex.params[0]:.4f},{ex.params[1]:.4f},"
+             f"{ex.params[2]:.4f},{ex.sign:+d}]", ex.realized.vector())
+            for ex in extremal_grid(extremal_fn, types, d, grid)]
+
+
+def certificate(family, c: Coeffs, tol, seed) -> Certificate:
+    """An empty certificate for the state with coefficients c."""
+    return Certificate(family, c.d, {
+        "a_e": c.a_e, "a_12": c.a_12, "a_13": c.a_13, "a_23": c.a_23,
+        "re_123": c.r, "im_123": c.s,
+    }, tolerances=tol_dict(tol), seed=seed)
+
+
+def witness_sweep(cert, rho, build_one, rows, tol=DEFAULT_TOL):
+    """Smallest eigenvalue of (id (x) W*)(rho) for every catalogue row W.
+
+    The images are linear in the witness coefficients, so they come from
+    the six basis images in one tensordot and one batched eigvalsh.  Records
+    the witness_sweep check and returns (minima, all rows nonnegative).
+    """
+    d = cert.d
+    band = tol.psd_tol * max(1.0, float(np.linalg.norm(rho)))
+    ks = np.array([build_one(s, d).adjoint().id_tensor(rho, d)
+                   for s in PERMS])
+    coeffs = np.array([v for _, v in rows])
+    outs = np.tensordot(coeffs, ks, axes=([1], [0]))
+    outs = (outs + np.conj(np.swapaxes(outs, 1, 2))) / 2
+    mins = np.linalg.eigvalsh(outs)[:, 0].real
+    ok = bool(mins.min() >= -band)
+    cert.checks["witness_sweep"] = {
+        "verdict": verdict_str(ok),
+        "evidence": {"count": len(rows), "min_eig": float(mins.min())},
+    }
+    return mins, ok

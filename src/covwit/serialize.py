@@ -43,7 +43,10 @@ def dump_json(obj, path):
 
 def load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8 text
+            raise ContractError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def write_matrix(m, path):

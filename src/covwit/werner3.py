@@ -13,61 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import Certificate, tol_dict, verdict_str
+from . import s3
+from .certificate import Certificate
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, DimensionError, flip,
-                     identity, matrix_unit)
+from .linalg import DEFAULT_TOL, ContractError, DimensionError, flip, identity
 from .twirl import PERMS, build_V
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
 
-@dataclass(frozen=True)
-class S3Coeffs:
-    """Coefficients over the V_sigma basis with the Hermitian reality
-    pattern: a_e, a_12, a_13, a_23 real, a_132 = conj(a_123) (never stored)."""
+class S3Coeffs(s3.Coeffs):
+    """Coefficients over the V_sigma basis; at d = 2 the V basis is
+    dependent, so that case belongs to the quo family."""
 
-    d: int
-    a_e: float
-    a_12: float
-    a_13: float
-    a_23: float
-    a_123: complex
-
-    def __post_init__(self):
-        if self.d < 3:
-            raise DimensionError(
-                "d must be >= 3 (at d = 2 the V basis is dependent; "
-                "use the quo family)")
-        vals = (self.a_e, self.a_12, self.a_13, self.a_23)
-        if not all(np.isfinite(v) and np.imag(v) == 0 for v in vals):
-            raise ContractError("a_e, a_12, a_13, a_23 must be finite reals")
-        if not np.isfinite(complex(self.a_123)):
-            raise ContractError("a_123 must be finite")
-
-    @property
-    def r(self):
-        return complex(self.a_123).real
-
-    @property
-    def s(self):
-        return complex(self.a_123).imag
-
-    def as_tuple6(self):
-        return (self.a_e, self.a_12, self.a_13, self.a_23, self.r, self.s)
-
-    def vector(self):
-        """Length-6 complex coefficient vector ordered as PERMS."""
-        q = complex(self.a_123)
-        return np.array([self.a_e, self.a_12, self.a_13, self.a_23,
-                         q, q.conjugate()])
-
-    def scale(self):
-        return max(1.0, max(abs(v) for v in self.vector()))
-
-    def scale_by(self, f):
-        return S3Coeffs(self.d, f * self.a_e, f * self.a_12, f * self.a_13,
-                        f * self.a_23, f * complex(self.a_123))
+    MIN_D = 3
 
 
 @dataclass(frozen=True)
@@ -81,16 +40,6 @@ class Table2Block:
     def min_margin(self):
         ev = np.linalg.eigvalsh((self.block + self.block.conj().T) / 2)
         return min(self.s1, self.s2, float(ev[0]))
-
-
-@dataclass(frozen=True)
-class W3Extremal:
-    type: str           # "I" | "II" | "III"
-    params: tuple       # (A, B, C)
-    sign: int
-    realized: S3Coeffs
-    cp: bool
-    ccp: bool
 
 
 def relabel(c: S3Coeffs, tau):
@@ -147,26 +96,12 @@ def build_L(sigma, d) -> LinMap:
 
 def build_map(c: S3Coeffs) -> LinMap:
     """L = sum_sigma a_sigma L_sigma as a single structured map."""
-    maps = [build_L(s, c.d) for s in PERMS]
-    w = c.vector()
-
-    def fn(x):
-        out = np.zeros((c.d * c.d, c.d * c.d), dtype=complex)
-        for wi, m in zip(w, maps):
-            if wi != 0:
-                out += wi * m(x)
-        return out
-
-    return LinMap(c.d, c.d * c.d, apply_fn=fn, family="werner3-L", coeffs=c)
+    return s3.build_map(c, build_L, "werner3-L")
 
 
 def invariant_matrix(c: S3Coeffs):
     """X = sum_sigma a_sigma V_sigma on (C^d)^3."""
-    out = np.zeros((c.d**3, c.d**3), dtype=complex)
-    for wi, s in zip(c.vector(), PERMS):
-        if wi != 0:
-            out += wi * build_V(s, c.d)
-    return out
+    return s3.invariant_matrix(c, build_V)
 
 
 def positivity_margins_w3(c: S3Coeffs):
@@ -184,10 +119,7 @@ def positivity_margins_w3(c: S3Coeffs):
 
 
 def is_positive_w3(c: S3Coeffs, tol=DEFAULT_TOL):
-    s = c.scale()
-    bands = (s, s, s, s, s * s)
-    return all(m >= -tol.psd_tol * b
-               for m, b in zip(positivity_margins_w3(c), bands))
+    return s3.margins_ok(positivity_margins_w3(c), c.scale(), tol)
 
 
 def F_iso(c: S3Coeffs) -> Table2Block:
@@ -245,35 +177,16 @@ def ppt_w3(c: S3Coeffs, tol=DEFAULT_TOL):
     }
 
 
-def trace_w3(c: S3Coeffs):
-    d = c.d
-    return d**3 * c.a_e + d**2 * (c.a_12 + c.a_13 + c.a_23) + 2 * d * c.r
+trace_w3 = S3Coeffs.trace
 
 
-TP_TOL = 1e-12
-
-
-def _tp_normalize(d, tup, type_name, params, sign):
-    ae, a12, a13, a23, r, s = tup
-    norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
-    if norm <= TP_TOL:
-        raise ContractError(
-            f"degenerate trace-preservation normalizer for Type {type_name} "
-            f"params {params}")
-    f = 1.0 / norm
-    return S3Coeffs(d, f * ae, f * a12, f * a13, f * a23,
-                    complex(f * r, f * s))
-
-
-def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> W3Extremal:
+def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> s3.Extremal:
     """Extremal trace-preserving positive covariant map of Type I/II/III."""
     if type_name not in ("I", "II", "III"):
         raise ContractError(f"unknown extremal type {type_name!r}")
     if type_name != "I":
-        if A < 0 or B < 0 or A * B < C * C - TP_TOL:
-            raise ContractError("need A,B >= 0 and AB >= C^2")
-    sgn = 1 if sign >= 0 else -1
-    ss = sgn * np.sqrt(max(A * B - C * C, 0.0))
+        s3.check_params(A, B, C)
+    sgn, ss = s3.signed_root(A, B, C, sign)
     if type_name == "I":
         tup = (1.0, -1.0, -1.0, -1.0, 1.0, 0.0)
     elif type_name == "II":
@@ -282,12 +195,8 @@ def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> W3Extremal:
         tup = ((A + B + 2 * C) / 2, (A - B - 2 * C) / 2,
                (-A + B - 2 * C) / 2, (A + B + 2 * C) / 2,
                -(A + B) / 2, ss)
-    realized = _tp_normalize(d, tup, type_name, (A, B, C), sgn)
-    if not is_positive_w3(realized):
-        raise ContractError(
-            f"Type {type_name} tuple failed the positivity inequalities")
-    return W3Extremal(type_name, (A, B, C), sgn, realized,
-                      cp=is_cp_w3(realized), ccp=is_ccp_w3(realized))
+    return s3.extremal(S3Coeffs, d, type_name, (A, B, C), sgn, tup,
+                       (is_positive_w3, is_cp_w3, is_ccp_w3))
 
 
 def witness_L0(d) -> S3Coeffs:
@@ -334,30 +243,14 @@ def t_max(d=3, tol_t=1e-4, t_hi=64.0):
 def _witness_coeff_grid(d, grid):
     """Coefficient vectors (ordered as PERMS) of the witness family: L0,
     Type I, and Types II/III over a compact (A-B, C, sign) grid at A+B=1."""
-    rows = [("L0", witness_L0(d).vector())]
-    rows.append(("I", extremal_w3("I", d=d).realized.vector()))
-    for u in np.linspace(-1.0, 1.0, grid):
-        A, B = (1 + u) / 2, (1 - u) / 2
-        cmax = np.sqrt(A * B)
-        for C in np.linspace(-cmax, cmax, grid):
-            for sign in (+1, -1):
-                for tname in ("II", "III"):
-                    try:
-                        ex = extremal_w3(tname, A, B, C, sign, d)
-                    except ContractError:
-                        continue
-                    rows.append((f"{tname}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]",
-                                 ex.realized.vector()))
-    return rows
+    return ([("L0", witness_L0(d).vector()),
+             ("I", extremal_w3("I", d=d).realized.vector())]
+            + s3.grid_rows(extremal_w3, ("II", "III"), d, grid))
 
 
 def state_check(c: S3Coeffs, tol=DEFAULT_TOL):
     """Raise unless the coefficients describe a quantum state."""
-    tr = trace_w3(c)
-    if abs(tr - 1.0) > tol.eq_tol * c.d**3:
-        raise ContractError(f"trace {tr} != 1: not a normalized state")
-    if not is_cp_w3(c, tol):
-        raise ContractError("coefficient matrix is not PSD: not a state")
+    s3.state_check(c, is_cp_w3, tol)
 
 
 def detect_entanglement_w3(c: S3Coeffs, grid=64, tol=DEFAULT_TOL,
@@ -369,37 +262,19 @@ def detect_entanglement_w3(c: S3Coeffs, grid=64, tol=DEFAULT_TOL,
     the verdict is inconclusive at the chosen grid resolution.
     """
     state_check(c, tol)
-    d = c.d
-    rho = invariant_matrix(c)
-    band = tol.psd_tol * max(1.0, float(np.linalg.norm(rho)))
-
-    # (id (x) L_sigma*)(rho) is linear in the witness coefficients
-    ks = np.array([build_L(s, d).adjoint().id_tensor(rho, d) for s in PERMS])
-    cert = Certificate("werner3", d, {
-        "a_e": c.a_e, "a_12": c.a_12, "a_13": c.a_13, "a_23": c.a_23,
-        "re_123": c.r, "im_123": c.s,
-    }, tolerances=tol_dict(tol), seed=seed)
-
+    cert = s3.certificate("werner3", c, tol, seed)
     ppt = ppt_w3(c, tol)
     for part, ok in ppt.items():
         cert.add_check(f"ppt_{part}", ok)
 
-    rows = _witness_coeff_grid(d, grid)
-    coeffs = np.array([v for _, v in rows])
-    outs = np.tensordot(coeffs, ks, axes=([1], [0]))
-    outs = (outs + np.conj(np.swapaxes(outs, 1, 2))) / 2
-    mins = np.linalg.eigvalsh(outs)[:, 0].real
-
+    rows = _witness_coeff_grid(c.d, grid)
+    mins, ok = s3.witness_sweep(cert, invariant_matrix(c), build_L, rows, tol)
     worst = int(np.argmin(mins))
     cert.witnesses.append({"id": rows[0][0], "min_eig": float(mins[0])})
     if worst != 0:
         cert.witnesses.append({"id": rows[worst][0],
                                "min_eig": float(mins[worst])})
-    cert.checks["witness_sweep"] = {
-        "verdict": verdict_str(bool(mins.min() >= -band)),
-        "evidence": {"count": len(rows), "min_eig": float(mins.min())},
-    }
-    if mins.min() < -band:
+    if not ok:
         cert.verdict = "ENTANGLED"
     elif not all(ppt.values()):
         cert.verdict = "NPT-ENTANGLED"

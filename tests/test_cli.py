@@ -145,6 +145,34 @@ def test_exit_code_invalid_input():
     assert run(["sweep", "hh", "--d", "3", "--grid", "1"]) == 1
     assert run(["twirl", "--family", "oo", "--matrix-file",
                 "/nonexistent.json"]) == 1
+    assert run(["certify", "werner3", "--d", "3", "--coeffs",
+                "1/27,0,0,0,0,0", "--grid", "0"]) == 1
+    assert run(["certify", "quo", "--d", "3", "--coeffs",
+                "1/27,0,0,0,0,0", "--grid", "-3"]) == 1
+
+
+def _one_line_error(capsys, argv):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_malformed_json_files_are_input_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows": 2, "cols": ')
+    state = tmp_path / "rho.json"
+    serialize.write_matrix(np.eye(27) / 27, state)
+    _one_line_error(capsys, ["witness", "apply", "--witness", str(bad),
+                             "--state", str(state)])
+    _one_line_error(capsys, ["twirl", "--family", "oo", "--matrix-file",
+                             str(bad)])
+    for obj in ({"family": "werner3-L", "d": 3},
+                {"family": "quo-M", "d": 3, "coeffs": [1, 0, 0, 0, 0, 0]},
+                [1, 2]):
+        wit = tmp_path / "map.json"
+        serialize.dump_json(obj, wit)
+        _one_line_error(capsys, ["witness", "apply", "--witness", str(wit),
+                                 "--state", str(state)])
 
 
 def test_exit_code_usage_errors():

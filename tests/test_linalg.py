@@ -1,12 +1,11 @@
-"""Core linear-algebra utilities: partial transposes, Hermitian eigenvalues
-by cyclic complex Jacobi, PSD checks."""
+"""Core linear-algebra utilities: partial transposes, Hermitian and PSD
+checks."""
 
 import numpy as np
 import pytest
 
 from covwit.linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                           NumericalError, Tolerances, check_hermitian,
-                           eigvals_fast, flip, herm_eigvals, identity,
+                           Tolerances, check_hermitian, flip, identity,
                            is_psd, kron, matrix_unit, partial_trace,
                            partial_transpose)
 
@@ -21,8 +20,6 @@ def test_tolerances_validation():
         Tolerances(psd_tol=0.0)
     with pytest.raises(ValueError):
         Tolerances(eq_tol=-1e-9)
-    with pytest.raises(ValueError):
-        Tolerances(max_sweeps=0)
     t = Tolerances(psd_tol=1e-6)
     assert t.psd_tol == 1e-6 and t.eq_tol == DEFAULT_TOL.eq_tol
 
@@ -88,45 +85,6 @@ def test_check_hermitian_rejects():
         check_hermitian(np.zeros((2, 3)))
 
 
-def test_jacobi_3x3_char_poly_oracle():
-    """Independent oracle: eigenvalues of a 3x3 Hermitian matrix are the
-    roots of its characteristic polynomial."""
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        h = random_hermitian(rng, 3)
-        ev = herm_eigvals(h)
-        tr = np.trace(h).real
-        tr2 = np.trace(h @ h).real
-        det = np.linalg.det(h).real
-        # charpoly x^3 - tr x^2 + ((tr^2-tr2)/2) x - det
-        roots = np.sort(np.roots(
-            [1.0, -tr, (tr * tr - tr2) / 2, -det]).real)
-        assert np.abs(ev - roots).max() < 1e-8
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33, 64])
-def test_jacobi_vs_lapack(n):
-    rng = np.random.default_rng(n)
-    h = random_hermitian(rng, n)
-    assert np.abs(herm_eigvals(h) - np.linalg.eigvalsh(h)).max() < 1e-10
-
-
-def test_jacobi_scale_invariance_and_zeros():
-    rng = np.random.default_rng(7)
-    h = random_hermitian(rng, 6)
-    assert np.allclose(herm_eigvals(1e8 * h), 1e8 * herm_eigvals(h),
-                       rtol=1e-10, atol=1e-4)
-    assert np.all(herm_eigvals(np.zeros((4, 4))) == 0.0)
-    assert herm_eigvals(np.array([[3.5]])) == np.array([3.5])
-
-
-def test_jacobi_nonconvergence_raises():
-    rng = np.random.default_rng(8)
-    h = random_hermitian(rng, 16)
-    with pytest.raises(NumericalError):
-        herm_eigvals(h, Tolerances(max_sweeps=1, jacobi_tol=1e-15))
-
-
 def test_is_psd():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -137,8 +95,3 @@ def test_is_psd():
                     - 0.5 * np.trace(psd).real * np.eye(4))
     assert not ok and lo < 0
 
-
-def test_eigvals_fast_matches_jacobi():
-    rng = np.random.default_rng(10)
-    h = random_hermitian(rng, 12)
-    assert np.abs(np.sort(eigvals_fast(h)) - herm_eigvals(h)).max() < 1e-11

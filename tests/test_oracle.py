@@ -116,7 +116,7 @@ def test_mc_twirl_rejects_bad_family_and_shape():
 def test_selftest_quick_passes():
     ok, results = selftest(seed=0, level="quick", out=None)
     assert ok
-    assert len(results) == 11
+    assert len(results) == 10
     for name, passed, detail, dt in results:
         assert passed, (name, detail)
 

@@ -128,6 +128,12 @@ def test_extremal_tp_normalization():
             assert np.isclose(quo.trace_quo(c), d)  # TP: trace d^3 / d^2...
 
 
+def test_decide_rejects_grid_below_two():
+    c = quo.QuoCoeffs(3, 1.0 / 27, 0, 0, 0, 0)
+    with pytest.raises(ContractError):
+        quo.decide_quo(c, grid=0)
+
+
 def test_decide_separable_state():
     """A normalized CP + A-BC PPT invariant state certifies SEPARABLE with a
     clean witness sweep."""

@@ -179,6 +179,12 @@ def test_detect_rejects_non_state():
         w3.detect_entanglement_w3(bad)
 
 
+def test_detect_rejects_grid_below_two():
+    c, _ = w3.rho_t(3, 1.0)
+    with pytest.raises(ContractError):
+        w3.detect_entanglement_w3(c, grid=1)
+
+
 def test_detect_inconclusive_on_separable_like_state():
     """The maximally mixed state is invariant and passes every check."""
     d = 3
