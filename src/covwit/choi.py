@@ -7,7 +7,7 @@ L(X)_kl = sum_ij X_ij C[(i,k),(j,l)].
 
 import numpy as np
 
-from .linalg import DimensionError, asmatrix, matrix_unit
+from .linalg import DimensionError, asmatrix, check_dense, matrix_unit
 
 
 def max_entangled(d):
@@ -52,6 +52,7 @@ class LinMap:
     def choi(self, normalized=True):
         if self._choi is None:
             d_in, d_out = self.d_in, self.d_out
+            check_dense(d_in * d_out)
             c = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
             c4 = c.reshape(d_in, d_out, d_in, d_out)
             for i in range(d_in):

@@ -89,9 +89,15 @@ def map_from_file(path):
     obj = serialize.load_json(path)
     if not isinstance(obj, dict):
         raise ContractError(f"map JSON in {path} is not an object")
+
+    def dim(key):
+        if type(obj.get(key)) is not int:
+            raise ContractError(f"map JSON in {path}: {key} must be an integer")
+        return obj[key]
+
     if "choi_unnormalized" in obj:
         c = serialize.matrix_from_obj(obj["choi_unnormalized"])
-        return LinMap(int(obj["d_in"]), int(obj["d_out"]), choi_unnorm=c)
+        return LinMap(dim("d_in"), dim("d_out"), choi_unnorm=c)
     fam = obj.get("family")
     if fam not in ("hh", "werner3-L", "quo-M"):
         raise ContractError(f"unrecognized map JSON in {path}")
@@ -99,11 +105,10 @@ def map_from_file(path):
     if not isinstance(co, dict):
         raise ContractError(f"map JSON in {path} needs a \"coeffs\" object")
     if fam == "hh":
-        return hh.build_psi(hh.HHCoeffs(int(obj["d"]), co["a"], co["b"],
-                                        co["c"]))
+        return hh.build_psi(hh.HHCoeffs(dim("d"), co["a"], co["b"], co["c"]))
     mod, cls = ((werner3, werner3.S3Coeffs) if fam == "werner3-L"
                 else (quo, quo.QuoCoeffs))
-    return mod.build_map(cls.from_tuple6(int(obj["d"]), (
+    return mod.build_map(cls.from_tuple6(dim("d"), (
         co["a_e"], co["a_12"], co["a_13"], co["a_23"], co["re_123"],
         co.get("im_123", 0.0))))
 

@@ -15,7 +15,8 @@ import numpy as np
 from .certificate import Certificate, tol_dict, verdict_str
 from .choi import LinMap
 from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                     UnsupportedDimensionError, identity, is_psd)
+                     UnsupportedDimensionError, identity, is_number,
+                     is_psd)
 
 CONSTRAINT_TAGS = (1, 2, 3, 4, 5, 6)
 
@@ -32,8 +33,9 @@ class HHCoeffs:
     def __post_init__(self):
         if self.d < 2:
             raise DimensionError("d must be >= 2")
-        if not all(np.isfinite([self.a, self.b, self.c])):
-            raise ContractError("coefficients must be finite")
+        if not all(is_number(v) and np.isfinite(v)
+                   for v in (self.a, self.b, self.c)):
+            raise ContractError("coefficients must be finite numbers")
 
     def swapped(self):
         """Transpose-composed coefficients: psi_{a,b,c} o T = psi_{a,c,b}."""

@@ -1,11 +1,12 @@
-"""Dense complex linear algebra: tensor products, partial transposes, and
-Hermitian and PSD checks."""
+"""Dense complex linear algebra: partial transposes, Hermitian and PSD
+checks, and the size cap on dense builds."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-MAX_DIM = 1 << 20  # guard against accidental huge Kronecker products
+MAX_DIM = 4096  # largest n of a dense n x n build; d^3 = 4096 at d = 16
 
 
 class CovwitError(Exception):
@@ -43,6 +44,18 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def check_dense(n):
+    """Refuse a dense n x n build above MAX_DIM before it allocates."""
+    if n > MAX_DIM:
+        raise DimensionError(
+            f"dense {n}x{n} matrix exceeds the size cap {MAX_DIM}")
+
+
+def is_number(v):
+    """True for int, float and complex values (numpy's too), not for bool."""
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
 def asmatrix(x):
     """Coerce to a 2-d complex128 array and reject non-finite entries."""
     m = np.asarray(x, dtype=complex)
@@ -73,15 +86,6 @@ def flip(d):
     return f
 
 
-def kron(a, b):
-    """Kronecker product with the lexicographic index convention |i1 i2>."""
-    a = asmatrix(a)
-    b = asmatrix(b)
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        raise DimensionError("Kronecker product dimension overflow")
-    return np.kron(a, b)
-
-
 def _check_dims(x, dims):
     n = int(np.prod(dims))
     if x.shape != (n, n):
@@ -106,27 +110,9 @@ def partial_transpose(x, dims, which):
     return np.ascontiguousarray(t.reshape(n, n))
 
 
-def partial_trace(x, dims, keep):
-    """Trace out every factor not listed in keep (0-based indices)."""
-    x = asmatrix(x)
-    dims = list(dims)
-    _check_dims(x, dims)
-    k = len(dims)
-    keep = sorted(keep)
-    t = x.reshape(dims + dims)
-    for ax in reversed([i for i in range(k) if i not in keep]):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    n = int(np.prod([dims[i] for i in keep]))
-    return t.reshape(n, n)
-
-
 def max_abs(x):
     x = np.asarray(x)
     return float(np.abs(x).max()) if x.size else 0.0
-
-
-def frob(x):
-    return float(np.linalg.norm(np.asarray(x)))
 
 
 def check_hermitian(x, tol=DEFAULT_TOL):
@@ -140,14 +126,8 @@ def check_hermitian(x, tol=DEFAULT_TOL):
     return (x + x.conj().T) / 2.0
 
 
-def eigvals_fast(x, tol=DEFAULT_TOL):
-    """Eigenvalues of a Hermitian matrix via LAPACK; same contract checks."""
-    return np.linalg.eigvalsh(check_hermitian(x, tol))
-
-
 def is_psd(x, tol=DEFAULT_TOL):
     """PSD verdict with evidence: (min eig >= -psd_tol * max(1, ||x||_F), min eig)."""
     x = asmatrix(x)
-    ev = eigvals_fast(x, tol)
-    lo = float(ev[0])
-    return lo >= -tol.psd_tol * max(1.0, frob(x)), lo
+    lo = float(np.linalg.eigvalsh(check_hermitian(x, tol))[0])
+    return lo >= -tol.psd_tol * max(1.0, float(np.linalg.norm(x))), lo

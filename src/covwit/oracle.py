@@ -241,7 +241,8 @@ def selftest(seed=0, level="quick", out=print):
         for d in (2, 3):
             types = ("III", "IV") if d == 3 else ("I'", "II'")
             for ex in s3.extremal_grid(quo.extremal_quo, types, d, grid):
-                if not (ex.cp or ex.ccp):
+                r = ex.realized
+                if not (quo.is_cp_quo(r) or quo.is_ccp_quo(r)):
                     bad += 1
         return bad == 0, f"{bad} non-CP-non-CCP extremals"
 

@@ -158,7 +158,7 @@ def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1,
             raise ContractError(
                 f"unknown extremal type {type_name!r} for d = 2")
     return s3.extremal(QuoCoeffs, d, type_name, (A, B, C), sgn, tup,
-                       (is_positive_quo, is_cp_quo, is_ccp_quo))
+                       is_positive_quo)
 
 
 def state_check(c: QuoCoeffs, tol=DEFAULT_TOL):
@@ -198,7 +198,7 @@ def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL, seed=0) -> Certificate:
     cert.add_check("separable_A-BC", ppt["A-BC"])
 
     rows = _witness_rows(d, grid)
-    mins, _ = s3.witness_sweep(cert, rho, build_M, rows, tol)
+    mins, _ = s3.witness_sweep(cert, c, rows, tol)
     worst = int(np.argmin(mins))
     cert.witnesses.append({"id": rows[worst][0],
                            "min_eig": float(mins[worst])})

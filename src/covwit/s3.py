@@ -15,10 +15,18 @@ import numpy as np
 
 from .certificate import Certificate, tol_dict, verdict_str
 from .choi import LinMap
-from .linalg import DEFAULT_TOL, ContractError, DimensionError
+from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
+                     check_dense, is_number)
 from .twirl import PERMS
 
 TP_TOL = 1e-12
+
+# CYCLES[s, t] is the number of cycles of PERMS[s] o PERMS[t], so that
+# Tr(X_s X_t) = d^CYCLES[s, t] for X = V, and for X = T as well because
+# partial transposition preserves Tr(XY).
+CYCLES = np.array([[3, 2, 2, 2, 1, 1], [2, 3, 1, 1, 2, 2],
+                   [2, 1, 3, 1, 2, 2], [2, 1, 1, 3, 2, 2],
+                   [1, 2, 2, 2, 1, 3], [1, 2, 2, 2, 3, 1]])
 
 
 @dataclass(frozen=True)
@@ -39,14 +47,17 @@ class Coeffs:
         if self.d < self.MIN_D:
             raise DimensionError(f"d must be >= {self.MIN_D}")
         vals = (self.a_e, self.a_12, self.a_13, self.a_23)
-        if not all(np.isfinite(v) and np.imag(v) == 0 for v in vals):
+        if not all(is_number(v) and np.isfinite(v) and np.imag(v) == 0
+                   for v in vals):
             raise ContractError("a_e, a_12, a_13, a_23 must be finite reals")
-        if not np.isfinite(complex(self.a_123)):
-            raise ContractError("a_123 must be finite")
+        if not (is_number(self.a_123) and np.isfinite(complex(self.a_123))):
+            raise ContractError("a_123 must be a finite number")
 
     @classmethod
     def from_tuple6(cls, d, v):
         """From (a_e, a_12, a_13, a_23, re a_123, im a_123)."""
+        if not all(is_number(x) and np.imag(x) == 0 for x in v[4:6]):
+            raise ContractError("re_123 and im_123 must be real numbers")
         return cls(d, v[0], v[1], v[2], v[3], complex(v[4], v[5]))
 
     @property
@@ -89,8 +100,6 @@ class Extremal:
     params: tuple       # (A, B, C)
     sign: int
     realized: Coeffs
-    cp: bool
-    ccp: bool
 
 
 def check_params(A, B, C):
@@ -105,11 +114,9 @@ def signed_root(A, B, C, sign):
     return sgn, sgn * np.sqrt(max(A * B - C * C, 0.0))
 
 
-def extremal(cls, d, type_name, params, sign, tup, tests):
+def extremal(cls, d, type_name, params, sign, tup, is_positive):
     """Normalize the raw coefficient tuple of a map to trace preservation
-    and check it positive.  tests is the family's (is_positive, is_cp,
-    is_ccp)."""
-    is_positive, is_cp, is_ccp = tests
+    and check it with the family's is_positive."""
     ae, a12, a13, a23, r, s = tup
     norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
     if norm <= TP_TOL:
@@ -122,8 +129,7 @@ def extremal(cls, d, type_name, params, sign, tup, tests):
     if not is_positive(realized):
         raise ContractError(
             f"Type {type_name} tuple failed the positivity inequalities")
-    return Extremal(type_name, params, sign, realized,
-                    cp=is_cp(realized), ccp=is_ccp(realized))
+    return Extremal(type_name, params, sign, realized)
 
 
 def margins_ok(margins, scale, tol=DEFAULT_TOL):
@@ -152,6 +158,7 @@ def build_map(c: Coeffs, build_one, family) -> LinMap:
 
 def invariant_matrix(c: Coeffs, build_op):
     """X = sum_sigma a_sigma X_sigma on (C^d)^3, X_sigma = build_op(sigma, d)."""
+    check_dense(c.d**3)
     out = np.zeros((c.d**3, c.d**3), dtype=complex)
     for wi, s in zip(c.vector(), PERMS):
         if wi != 0:
@@ -201,21 +208,25 @@ def certificate(family, c: Coeffs, tol, seed) -> Certificate:
     }, tolerances=tol_dict(tol), seed=seed)
 
 
-def witness_sweep(cert, rho, build_one, rows, tol=DEFAULT_TOL):
-    """Smallest eigenvalue of (id (x) W*)(rho) for every catalogue row W.
+def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):
+    """Smallest eigenvalue of (id (x) W*)(rho) for every catalogue row W,
+    rho = sum_sigma c_sigma X_sigma.
 
-    The images are linear in the witness coefficients, so they come from
-    the six basis images in one tensordot and one batched eigvalsh.  Records
-    the witness_sweep check and returns (minima, all rows nonnegative).
+    Each image (id (x) X_sigma*)(rho) lies in span{I, d Omega}: its
+    eigenvalue on Omega is g_sigma / d, g_sigma = Tr(rho X_sigma), and its
+    trace, d g_e, g_e, g_e, d g_23, g_23, g_23, fixes its eigenvalue on the
+    other d^2 - 1 directions.  Records the witness_sweep check and returns
+    (minima, all rows nonnegative).
     """
-    d = cert.d
-    band = tol.psd_tol * max(1.0, float(np.linalg.norm(rho)))
-    ks = np.array([build_one(s, d).adjoint().id_tensor(rho, d)
-                   for s in PERMS])
-    coeffs = np.array([v for _, v in rows])
-    outs = np.tensordot(coeffs, ks, axes=([1], [0]))
-    outs = (outs + np.conj(np.swapaxes(outs, 1, 2))) / 2
-    mins = np.linalg.eigvalsh(outs)[:, 0].real
+    d = c.d
+    v = c.vector()
+    g = (float(d) ** CYCLES) @ v
+    band = tol.psd_tol * max(1.0, float(np.sqrt(max((v @ g).real, 0.0))))
+    omega = g / d
+    traces = np.array([d * g[0], g[0], g[0], d * g[3], g[3], g[3]])
+    alpha = (traces - omega) / (d * d - 1)
+    w = np.array([row for _, row in rows])
+    mins = (w @ np.stack([alpha, omega], axis=1)).real.min(axis=1)
     ok = bool(mins.min() >= -band)
     cert.checks["witness_sweep"] = {
         "verdict": verdict_str(ok),

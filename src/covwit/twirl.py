@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DimensionError, NumericalError, asmatrix, flip, identity,
-                     matrix_unit)
+from .linalg import (DimensionError, NumericalError, asmatrix, check_dense,
+                     flip, identity, matrix_unit)
 from .choi import max_entangled
 
 GRAM_COND_LIMIT = 1e12
@@ -83,6 +83,7 @@ def build_V(sigma, d):
     """V_sigma = sum |j1 j2 j3><j_{s(1)} j_{s(2)} j_{s(3)}| on (C^d)^3."""
     if sigma not in PERM_IMAGES:
         raise DimensionError(f"unknown permutation {sigma!r}")
+    check_dense(d**3)
     p = PERM_IMAGES[sigma]
     v6 = np.zeros((d,) * 6)
     j = np.indices((d, d, d))

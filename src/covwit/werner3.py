@@ -153,18 +153,14 @@ def G_iso(c: S3Coeffs) -> Table2Block:
     return Table2Block(float(s1), float(s2), block)
 
 
-def _block_psd(tb: Table2Block, band):
-    return tb.min_margin() >= -band
-
-
 def is_cp_w3(c: S3Coeffs, tol=DEFAULT_TOL):
     """CP of the map / PSD-ness of the invariant matrix itself."""
-    return _block_psd(F_iso(c), tol.psd_tol * c.scale())
+    return F_iso(c).min_margin() >= -tol.psd_tol * c.scale()
 
 
 def is_ccp_w3(c: S3Coeffs, tol=DEFAULT_TOL):
     """CCP of the map / PSD-ness of the A-partial-transposed matrix."""
-    return _block_psd(G_iso(c), tol.psd_tol * c.scale())
+    return G_iso(c).min_margin() >= -tol.psd_tol * c.scale()
 
 
 def ppt_w3(c: S3Coeffs, tol=DEFAULT_TOL):
@@ -196,7 +192,7 @@ def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> s3.Extremal:
                (-A + B - 2 * C) / 2, (A + B + 2 * C) / 2,
                -(A + B) / 2, ss)
     return s3.extremal(S3Coeffs, d, type_name, (A, B, C), sgn, tup,
-                       (is_positive_w3, is_cp_w3, is_ccp_w3))
+                       is_positive_w3)
 
 
 def witness_L0(d) -> S3Coeffs:
@@ -268,7 +264,7 @@ def detect_entanglement_w3(c: S3Coeffs, grid=64, tol=DEFAULT_TOL,
         cert.add_check(f"ppt_{part}", ok)
 
     rows = _witness_coeff_grid(c.d, grid)
-    mins, ok = s3.witness_sweep(cert, invariant_matrix(c), build_L, rows, tol)
+    mins, ok = s3.witness_sweep(cert, c, rows, tol)
     worst = int(np.argmin(mins))
     cert.witnesses.append({"id": rows[0][0], "min_eig": float(mins[0])})
     if worst != 0:

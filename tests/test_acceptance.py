@@ -288,13 +288,17 @@ def test_criterion_09_quo_extremals_and_ppt_states():
     32x32 (A-B, C) grid with both signs, plus the fixed Type I/II tuples, is
     CP or CCP by numerical PSD at 1e-9; 10,000 random A-BC-PPT invariant
     states (d=3) trigger zero witness violations."""
+    def cp_ccp_row(ex):
+        r = ex.realized
+        return quo.is_cp_quo(r), quo.is_ccp_quo(r), r.vector()
+
     for d in (2, 3, 4):
         ts = np.stack([build_T(s, d) for s in PERMS])
         rows = []
         if d >= 3:
             for t in ("I", "II"):
                 ex = quo.extremal_quo(t, d=d)
-                rows.append((ex.cp, ex.ccp, ex.realized.vector()))
+                rows.append(cp_ccp_row(ex))
             types = ("III", "IV")
         else:
             types = ("I'", "II'")
@@ -308,7 +312,7 @@ def test_criterion_09_quo_extremals_and_ppt_states():
                             ex = quo.extremal_quo(t, a_, b_, c_, sg, d)
                         except Exception:
                             continue
-                        rows.append((ex.cp, ex.ccp, ex.realized.vector()))
+                        rows.append(cp_ccp_row(ex))
         assert rows
         coeffs = np.array([r[2] for r in rows])
         xs = np.tensordot(coeffs, ts, axes=([1], [0]))

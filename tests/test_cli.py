@@ -166,13 +166,34 @@ def test_malformed_json_files_are_input_errors(tmp_path, capsys):
                              "--state", str(state)])
     _one_line_error(capsys, ["twirl", "--family", "oo", "--matrix-file",
                              str(bad)])
+    w3 = {"a_e": 1, "a_12": 0, "a_13": 0, "a_23": 0, "re_123": 0}
     for obj in ({"family": "werner3-L", "d": 3},
                 {"family": "quo-M", "d": 3, "coeffs": [1, 0, 0, 0, 0, 0]},
-                [1, 2]):
+                [1, 2],
+                {"family": "werner3-L", "d": 3, "coeffs": {**w3, "a_e": "x"}},
+                {"family": "hh", "d": 3, "coeffs": {"a": "x", "b": 0, "c": 0}},
+                {"family": "werner3-L", "d": "x", "coeffs": w3},
+                {"family": "werner3-L", "d": 3.7, "coeffs": w3},
+                {"family": "werner3-L", "d": 3,
+                 "coeffs": {**w3, "a_e": True}}):
         wit = tmp_path / "map.json"
         serialize.dump_json(obj, wit)
         _one_line_error(capsys, ["witness", "apply", "--witness", str(wit),
                                  "--state", str(state)])
+
+
+def test_dense_builds_above_the_cap_are_input_errors(capsys):
+    _one_line_error(capsys, ["certify", "quo", "--d", "40", "--coeffs",
+                             "1/64000,0,0,0,0,0"])
+    _one_line_error(capsys, ["state", "rho-t", "--d", "40", "--t", "1"])
+    _one_line_error(capsys, ["certify", "hh", "--d", "65", "--a", "1",
+                             "--b", "0", "--c", "0"])
+
+
+def test_werner3_certificate_needs_no_dense_build(capsys):
+    assert run(["certify", "werner3", "--d", "40", "--coeffs",
+                "1/64000,0,0,0,0,0"]) == 0
+    assert "INCONCLUSIVE" in capsys.readouterr().out
 
 
 def test_exit_code_usage_errors():

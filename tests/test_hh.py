@@ -20,6 +20,9 @@ def test_coeffs_validation():
         hh.HHCoeffs(1, 0, 1, 0)
     with pytest.raises(ContractError):
         hh.HHCoeffs(3, np.nan, 0, 0)
+    for bad in ("x", True, None):
+        with pytest.raises(ContractError):
+            hh.HHCoeffs(3, 1, bad, 0)
     assert hh.HHCoeffs(3, 1, 0.5, -0.2).swapped() == \
         hh.HHCoeffs(3, 1, -0.2, 0.5)
 

@@ -4,10 +4,13 @@ checks."""
 import numpy as np
 import pytest
 
-from covwit.linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                           Tolerances, check_hermitian, flip, identity,
-                           is_psd, kron, matrix_unit, partial_trace,
-                           partial_transpose)
+from covwit import werner3
+from covwit.choi import LinMap
+from covwit.linalg import (DEFAULT_TOL, MAX_DIM, ContractError,
+                           DimensionError, Tolerances, check_dense,
+                           check_hermitian, flip, identity, is_psd,
+                           matrix_unit, partial_transpose)
+from covwit.twirl import build_V
 
 
 def random_hermitian(rng, n):
@@ -35,9 +38,16 @@ def test_matrix_unit_and_flip():
     assert np.allclose(f @ f, identity(9))
 
 
-def test_kron_overflow_guard():
+def test_dense_builds_are_capped_before_they_allocate():
+    check_dense(MAX_DIM)
     with pytest.raises(DimensionError):
-        kron(np.eye(1 << 11), np.eye(1 << 11))
+        check_dense(MAX_DIM + 1)
+    with pytest.raises(DimensionError):
+        build_V("e", 17)
+    with pytest.raises(DimensionError):
+        werner3.invariant_matrix(werner3.S3Coeffs(17, 1, 0, 0, 0, 0))
+    with pytest.raises(DimensionError):
+        LinMap(65, 65, apply_fn=lambda x: x).choi()
 
 
 def test_partial_transpose_factors():
@@ -65,17 +75,6 @@ def test_partial_transpose_errors():
         partial_transpose(np.eye(6), [2, 2], 0)
     with pytest.raises(DimensionError):
         partial_transpose(np.eye(4), [2, 2], 2)
-
-
-def test_partial_trace():
-    rng = np.random.default_rng(4)
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 3)
-    x = np.kron(a, b)
-    assert np.allclose(partial_trace(x, [2, 3], [0]), a * np.trace(b))
-    assert np.allclose(partial_trace(x, [2, 3], [1]), b * np.trace(a))
-    y = random_hermitian(rng, 6)
-    assert np.isclose(np.trace(partial_trace(y, [2, 3], [0])), np.trace(y))
 
 
 def test_check_hermitian_rejects():

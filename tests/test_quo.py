@@ -97,23 +97,23 @@ def test_extremals_d3_types(d):
     """Types I/II are fixed tuples (CP resp. CCP); Types III/IV are CP resp.
     CCP across their parameter range."""
     ex1 = quo.extremal_quo("I", d=d)
-    assert ex1.cp and quo.is_positive_quo(ex1.realized)
+    assert quo.is_cp_quo(ex1.realized) and quo.is_positive_quo(ex1.realized)
     ex2 = quo.extremal_quo("II", d=d)
-    assert ex2.ccp and quo.is_positive_quo(ex2.realized)
+    assert quo.is_ccp_quo(ex2.realized) and quo.is_positive_quo(ex2.realized)
     for a, b, c, sg in ((0.5, 0.5, 0.3, 1), (0.8, 0.2, -0.3, -1),
                         (1.0, 0.0, 0.0, 1)):
         e3 = quo.extremal_quo("III", a, b, c, sg, d)
-        assert e3.cp and quo.is_positive_quo(e3.realized)
+        assert quo.is_cp_quo(e3.realized) and quo.is_positive_quo(e3.realized)
         e4 = quo.extremal_quo("IV", a, b, c, sg, d)
-        assert e4.ccp and quo.is_positive_quo(e4.realized)
+        assert quo.is_ccp_quo(e4.realized) and quo.is_positive_quo(e4.realized)
 
 
 def test_extremals_d2_types():
     for a, b, c, sg in ((0.6, 0.4, 0.2, 1), (0.3, 0.7, -0.4, -1)):
         e1 = quo.extremal_quo("I'", a, b, c, sg, 2)
-        assert e1.cp and quo.is_positive_quo(e1.realized)
+        assert quo.is_cp_quo(e1.realized) and quo.is_positive_quo(e1.realized)
         e2 = quo.extremal_quo("II'", a, b, c, sg, 2)
-        assert e2.ccp and quo.is_positive_quo(e2.realized)
+        assert quo.is_ccp_quo(e2.realized) and quo.is_positive_quo(e2.realized)
     with pytest.raises(ContractError):
         quo.extremal_quo("I", d=2)
     with pytest.raises(ContractError):

@@ -21,6 +21,13 @@ def test_coeffs_validation():
         w3.S3Coeffs(2, 1, 0, 0, 0, 0)
     with pytest.raises(ContractError):
         w3.S3Coeffs(3, np.nan, 0, 0, 0, 0)
+    for bad in ("x", True, None):
+        with pytest.raises(ContractError):
+            w3.S3Coeffs(3, bad, 0, 0, 0, 0)
+        with pytest.raises(ContractError):
+            w3.S3Coeffs(3, 1, 0, 0, 0, bad)
+        with pytest.raises(ContractError):
+            w3.S3Coeffs.from_tuple6(3, (1, 0, 0, 0, bad, 0))
     c = w3.S3Coeffs(3, 1, 2, 3, 4, complex(5, 6))
     assert c.r == 5 and c.s == 6
     assert np.allclose(c.vector(), [1, 2, 3, 4, 5 + 6j, 5 - 6j])
@@ -115,7 +122,7 @@ def test_extremal_types_positive_and_tp():
         assert w3.is_positive_w3(c)
         assert np.isclose(9 * c.a_e + 3 * (c.a_12 + c.a_13 + c.a_23)
                           + 2 * c.r, 1.0)
-        assert ex.cp == want_cp and ex.ccp == want_ccp
+        assert w3.is_cp_w3(c) == want_cp and w3.is_ccp_w3(c) == want_ccp
 
 
 def test_extremal_rejects_bad_params():
