@@ -187,6 +187,8 @@ def cmd_regions(args):
 
 def cmd_sweep(args):
     d, n = args.d, args.grid
+    if d < 3:
+        raise ContractError("--d must be >= 3")
     if n < 2:
         raise ContractError("--grid must be >= 2")
     lines = ["a,b,c,positive,cp,ccp,ppt,eb"]

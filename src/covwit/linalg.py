@@ -37,8 +37,9 @@ class Tolerances:
     eq_tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.psd_tol, self.eq_tol) <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not all(np.isfinite(t) and t > 0
+                   for t in (self.psd_tol, self.eq_tol)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()

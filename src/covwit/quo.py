@@ -3,10 +3,10 @@ partially transposed permutation operators T_sigma = V_sigma^{T_B} and the
 dual covariant maps M_sigma = (T (x) id) o L_sigma.
 
 For this family A-BC PPT and A-BC separability coincide in every dimension;
-positivity, CP, and CCP reduce to the tripartite-Werner closed forms after
-S3-conjugation relabelings of the coefficients (with a reduced
-five-coefficient frame at d = 2, where the T_sigma acquire a linear
-relation).
+CP, CCP and the partial-transpose verdicts are the tripartite-Werner block
+forms of S3-conjugation relabelings of the raw coefficients, at every d.  At
+d = 2 the T_sigma obey one linear relation; the block forms leave out the one
+summand it touches, and only positivity folds it in, through reduce_d2.
 """
 
 import numpy as np
@@ -14,10 +14,8 @@ import numpy as np
 from . import s3, werner3
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, DimensionError, is_psd,
-                     partial_transpose)
+from .linalg import DEFAULT_TOL, ContractError, partial_transpose
 from .twirl import build_T
-from .werner3 import S3Coeffs
 
 
 class QuoCoeffs(s3.Coeffs):
@@ -35,12 +33,6 @@ def reduce_d2(c: QuoCoeffs) -> QuoCoeffs:
         return c
     return QuoCoeffs(2, 0.0, c.a_12 + c.a_e, c.a_13 + c.a_e,
                      c.a_23 + c.a_e, complex(c.a_123) - c.a_e)
-
-
-def _as_w3(c: QuoCoeffs) -> S3Coeffs:
-    if c.d < 3:
-        raise DimensionError("closed forms via the V basis require d >= 3")
-    return S3Coeffs(c.d, c.a_e, c.a_12, c.a_13, c.a_23, c.a_123)
 
 
 def build_M(sigma, d) -> LinMap:
@@ -91,17 +83,12 @@ def is_positive_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
 
 def is_cp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     """CP of M / PSD-ness of sum a_sigma T_sigma."""
-    if c.d == 2:
-        return is_psd(invariant_matrix(reduce_d2(c)), tol)[0]
-    return werner3.is_ccp_w3(werner3.relabel(_as_w3(c), "12"), tol)
+    return werner3.is_ccp_w3(werner3.relabel(c, "12"), tol)
 
 
 def is_ccp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     """CCP of M / PSD-ness of (sum a_sigma T_sigma)^{T_A}."""
-    if c.d == 2:
-        x = partial_transpose(invariant_matrix(reduce_d2(c)), [2, 2, 2], 0)
-        return is_psd(x, tol)[0]
-    return werner3.is_ccp_w3(werner3.relabel(_as_w3(c), "13"), tol)
+    return werner3.is_ccp_w3(werner3.relabel(c, "13"), tol)
 
 
 def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
@@ -111,18 +98,10 @@ def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     PSD-ness of the V-combination; C-AB is the global transpose of the
     A-partial-transposed V-combination.
     """
-    if c.d == 2:
-        x = invariant_matrix(reduce_d2(c))
-        return {
-            "A-BC": is_psd(partial_transpose(x, [2, 2, 2], 0), tol)[0],
-            "B-AC": is_psd(partial_transpose(x, [2, 2, 2], 1), tol)[0],
-            "C-AB": is_psd(partial_transpose(x, [2, 2, 2], 2), tol)[0],
-        }
-    w = _as_w3(c)
     return {
         "A-BC": is_ccp_quo(c, tol),
-        "B-AC": werner3.is_cp_w3(w, tol),
-        "C-AB": werner3.is_ccp_w3(w, tol),
+        "B-AC": werner3.is_cp_w3(c, tol),
+        "C-AB": werner3.is_ccp_w3(c, tol),
     }
 
 
@@ -179,25 +158,21 @@ def _witness_rows(d, grid):
 def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL, seed=0) -> Certificate:
     """Separability certificate across A-BC: separable iff A-BC PPT.
 
-    The closed-form PPT verdict is decisive; a numerical partial-transpose
-    spectrum and a sweep over extremal witnesses of every type are recorded
-    as confirming evidence.
+    The closed-form PPT verdict is decisive; the least eigenvalue of the
+    A-partial transpose, read off its block form, and a sweep over extremal
+    witnesses of every type are recorded as confirming evidence.
     """
     state_check(c, tol)
-    d = c.d
     cert = s3.certificate("quo", c, tol, seed)
-
-    rho = invariant_matrix(reduce_d2(c) if d == 2 else c)
-    pt_min = float(np.linalg.eigvalsh(
-        partial_transpose(rho, [d, d, d], 0))[0])
 
     ppt = ppt_quo(c, tol)
     for part, ok in ppt.items():
         cert.add_check(f"ppt_{part}", ok)
-    cert.checks["ppt_A-BC"]["evidence"]["pt_min_eig"] = pt_min
+    cert.checks["ppt_A-BC"]["evidence"]["pt_min_eig"] = werner3.G_iso(
+        werner3.relabel(c, "13")).min_margin()
     cert.add_check("separable_A-BC", ppt["A-BC"])
 
-    rows = _witness_rows(d, grid)
+    rows = _witness_rows(c.d, grid)
     mins, _ = s3.witness_sweep(cert, c, rows, tol)
     worst = int(np.argmin(mins))
     cert.witnesses.append({"id": rows[worst][0],

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from .linalg import ContractError, DimensionError
+from .linalg import ContractError, DimensionError, is_number
 
 
 def matrix_to_obj(m):
@@ -22,11 +22,18 @@ def matrix_to_obj(m):
 
 def matrix_from_obj(obj):
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ContractError(f"malformed matrix JSON: {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:
+        raise ContractError("matrix JSON rows and cols must be integers")
     if rows < 1 or cols < 1:
         raise DimensionError("matrix JSON dimensions must be positive")
+    if not (isinstance(data, list) and all(
+            isinstance(z, list) and len(z) == 2 and all(map(is_number, z))
+            for z in data)):
+        raise ContractError("matrix JSON data must be a list of [re, im] "
+                            "number pairs")
     if len(data) != rows * cols:
         raise ContractError("matrix JSON data length != rows*cols")
     flat = np.array([complex(re, im) for re, im in data])

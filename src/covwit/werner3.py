@@ -31,26 +31,32 @@ class S3Coeffs(s3.Coeffs):
 
 @dataclass(frozen=True)
 class Table2Block:
-    """Image of an invariant operator in the C (+) C (+) M_2(C) picture."""
+    """Image of an invariant operator in the C (+) C (+) M_2(C) picture:
+    the operator's spectrum is s1, s2 and the block's two eigenvalues.  s2
+    is None where its summand has dimension 0 (d = 2)."""
 
     s1: float
-    s2: float
+    s2: float | None
     block: np.ndarray
 
     def min_margin(self):
+        """The least eigenvalue of the operator."""
         ev = np.linalg.eigvalsh((self.block + self.block.conj().T) / 2)
-        return min(self.s1, self.s2, float(ev[0]))
+        return min(v for v in (self.s1, self.s2, float(ev[0]))
+                   if v is not None)
 
 
-def relabel(c: S3Coeffs, tau):
-    """Coefficients of V_tau X V_tau: b_sigma = a_{tau sigma tau}."""
+def relabel(c: s3.Coeffs, tau):
+    """Coefficients of V_tau X V_tau: b_sigma = a_{tau sigma tau}, in the
+    class of c (the relabeling is the same for the T basis)."""
     q = complex(c.a_123)
+    cls = type(c)
     if tau == "12":
-        return S3Coeffs(c.d, c.a_e, c.a_12, c.a_23, c.a_13, q.conjugate())
+        return cls(c.d, c.a_e, c.a_12, c.a_23, c.a_13, q.conjugate())
     if tau == "13":
-        return S3Coeffs(c.d, c.a_e, c.a_23, c.a_13, c.a_12, q.conjugate())
+        return cls(c.d, c.a_e, c.a_23, c.a_13, c.a_12, q.conjugate())
     if tau == "23":
-        return S3Coeffs(c.d, c.a_e, c.a_13, c.a_12, c.a_23, q.conjugate())
+        return cls(c.d, c.a_e, c.a_13, c.a_12, c.a_23, q.conjugate())
     raise ContractError(f"relabel expects a transposition, got {tau!r}")
 
 
@@ -122,8 +128,9 @@ def is_positive_w3(c: S3Coeffs, tol=DEFAULT_TOL):
     return s3.margins_ok(positivity_margins_w3(c), c.scale(), tol)
 
 
-def F_iso(c: S3Coeffs) -> Table2Block:
-    """Block image of X = sum a_sigma V_sigma; X is PSD iff all blocks are."""
+def F_iso(c: s3.Coeffs) -> Table2Block:
+    """Block image of X = sum a_sigma V_sigma; X is PSD iff all blocks are.
+    s2 is X on Lambda^3 C^d, which is 0 at d = 2, so it is left out there."""
     ae, a12, a13, a23, _, _ = c.as_tuple6()
     q = complex(c.a_123)
     qb = q.conjugate()
@@ -134,11 +141,13 @@ def F_iso(c: S3Coeffs) -> Table2Block:
         [ae + wb * q + w * qb, wb * a12 + w * a13 + a23],
         [w * a12 + wb * a13 + a23, ae + w * q + wb * qb],
     ])
-    return Table2Block(float(s1), float(s2), block)
+    return Table2Block(float(s1), None if c.d == 2 else float(s2), block)
 
 
-def G_iso(c: S3Coeffs) -> Table2Block:
-    """Block image of X^{T_A}; X^{T_A} is PSD iff all blocks are."""
+def G_iso(c: s3.Coeffs) -> Table2Block:
+    """Block image of X^{T_A}; X^{T_A} is PSD iff all blocks are.  s2 is
+    X^{T_A} on the part of Cbar^d (x) Lambda^2 C^d beyond one copy of C^d;
+    at d = 2 that part is 0, so s2 is left out there."""
     d = c.d
     ae, a12, a13, a23, r, s = c.as_tuple6()
     q = complex(c.a_123)
@@ -150,15 +159,15 @@ def G_iso(c: S3Coeffs) -> Table2Block:
     b01 = y * (a12 - a13 - (q - q.conjugate()))
     b10 = y * (a12 - a13 + (q - q.conjugate()))
     block = np.array([[b00, b01], [b10, b11]])
-    return Table2Block(float(s1), float(s2), block)
+    return Table2Block(float(s1), None if d == 2 else float(s2), block)
 
 
-def is_cp_w3(c: S3Coeffs, tol=DEFAULT_TOL):
+def is_cp_w3(c: s3.Coeffs, tol=DEFAULT_TOL):
     """CP of the map / PSD-ness of the invariant matrix itself."""
     return F_iso(c).min_margin() >= -tol.psd_tol * c.scale()
 
 
-def is_ccp_w3(c: S3Coeffs, tol=DEFAULT_TOL):
+def is_ccp_w3(c: s3.Coeffs, tol=DEFAULT_TOL):
     """CCP of the map / PSD-ness of the A-partial-transposed matrix."""
     return G_iso(c).min_margin() >= -tol.psd_tol * c.scale()
 

@@ -136,7 +136,7 @@ def test_sweep_csv_shape(tmp_path):
         assert parts[6] == parts[7]  # eb == ppt on this family
 
 
-def test_exit_code_invalid_input():
+def test_exit_code_invalid_input(capsys):
     assert run(["certify", "hh", "--d", "3", "--a", "x", "--b", "0",
                 "--c", "0"]) == 1
     assert run(["certify", "werner3", "--d", "3", "--coeffs", "1,2,3"]) == 1
@@ -149,6 +149,13 @@ def test_exit_code_invalid_input():
                 "1/27,0,0,0,0,0", "--grid", "0"]) == 1
     assert run(["certify", "quo", "--d", "3", "--coeffs",
                 "1/27,0,0,0,0,0", "--grid", "-3"]) == 1
+    for tol in ("nan", "inf"):  # a trace-27 operator must not pass
+        assert run(["certify", "quo", "--d", "3", "--coeffs",
+                    "1,0,0,0,0,0", "--tol-eq", tol]) == 1
+    assert run(["certify", "quo", "--d", "3", "--coeffs",
+                "1/27,0,0,0,0,0", "--tol-psd", "nan"]) == 1
+    capsys.readouterr()
+    _one_line_error(capsys, ["sweep", "hh", "--d", "1", "--grid", "2"])
 
 
 def _one_line_error(capsys, argv):
@@ -180,20 +187,31 @@ def test_malformed_json_files_are_input_errors(tmp_path, capsys):
         serialize.dump_json(obj, wit)
         _one_line_error(capsys, ["witness", "apply", "--witness", str(wit),
                                  "--state", str(state)])
+    one = {"rows": 1, "cols": 1, "data": [[1, 0]]}
+    wit = tmp_path / "wit.json"
+    serialize.dump_json({"d_in": 1, "d_out": 1, "choi_unnormalized": one},
+                        wit)
+    for obj in ({**one, "rows": "x"}, {**one, "rows": 1.5},
+                {**one, "data": [5]}, {**one, "data": [["1", "0"]]},
+                {**one, "data": 5}):
+        serialize.dump_json(obj, state)
+        _one_line_error(capsys, ["witness", "apply", "--witness", str(wit),
+                                 "--state", str(state)])
 
 
 def test_dense_builds_above_the_cap_are_input_errors(capsys):
-    _one_line_error(capsys, ["certify", "quo", "--d", "40", "--coeffs",
-                             "1/64000,0,0,0,0,0"])
     _one_line_error(capsys, ["state", "rho-t", "--d", "40", "--t", "1"])
     _one_line_error(capsys, ["certify", "hh", "--d", "65", "--a", "1",
                              "--b", "0", "--c", "0"])
 
 
-def test_werner3_certificate_needs_no_dense_build(capsys):
-    assert run(["certify", "werner3", "--d", "40", "--coeffs",
+@pytest.mark.parametrize("family, verdict", [
+    ("werner3", "INCONCLUSIVE-AT-RESOLUTION"), ("quo", "SEPARABLE")],
+    ids=["werner3", "quo"])
+def test_certificates_need_no_dense_build(capsys, family, verdict):
+    assert run(["certify", family, "--d", "40", "--coeffs",
                 "1/64000,0,0,0,0,0"]) == 0
-    assert "INCONCLUSIVE" in capsys.readouterr().out
+    assert f"verdict: {verdict}" in capsys.readouterr().out
 
 
 def test_exit_code_usage_errors():

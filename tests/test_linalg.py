@@ -23,6 +23,11 @@ def test_tolerances_validation():
         Tolerances(psd_tol=0.0)
     with pytest.raises(ValueError):
         Tolerances(eq_tol=-1e-9)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Tolerances(psd_tol=bad)
+        with pytest.raises(ValueError):
+            Tolerances(eq_tol=bad)
     t = Tolerances(psd_tol=1e-6)
     assert t.psd_tol == 1e-6 and t.eq_tol == DEFAULT_TOL.eq_tol
 

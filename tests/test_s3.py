@@ -1,11 +1,12 @@
-"""The shared S3 core: the closed-form witness sweep against the dense
-witness images it replaced."""
+"""The shared S3 core: the closed-form witness sweep and block spectra
+against the dense matrices they replaced, and decisions without them."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from covwit import quo, s3, werner3
-from covwit.linalg import DEFAULT_TOL
+from covwit import linalg, quo, s3, werner3
+from covwit.linalg import DEFAULT_TOL, partial_transpose
 from covwit.twirl import PERMS
 
 # family -> (module, coefficient class, witness basis maps, catalogue)
@@ -58,3 +59,42 @@ def test_witness_sweep_matches_dense_images(case, v, state, shrink, extra):
     for (_, w), got, ref in zip(rows, mins, want):
         assert abs(got - ref) <= 1e-12 * max(1.0, norm * np.linalg.norm(w))
     assert cert.checks["witness_sweep"]["evidence"]["count"] == len(rows)
+
+
+def _relabeled_G(tau):
+    return lambda c: werner3.G_iso(werner3.relabel(c, tau))
+
+
+# family -> block images of X, X^{T_A}, X^{T_B}, X^{T_C}; quo's X is
+# (sum a_sigma V_sigma)^{T_B}.
+BLOCKS = {
+    "werner3": (werner3.F_iso, werner3.G_iso, _relabeled_G("12"),
+                _relabeled_G("13")),
+    "quo": (_relabeled_G("12"), _relabeled_G("13"), werner3.F_iso,
+            werner3.G_iso),
+}
+
+
+@settings(max_examples=150)
+@given(case=st.sampled_from(CASES), v=six)
+def test_block_spectra_match_dense_eigenvalues(case, v):
+    family, d = case
+    mod, cls = FAMILIES[family][:2]
+    c = cls.from_tuple6(d, v)
+    x = mod.invariant_matrix(c)
+    band = 1e-12 * max(1.0, float(np.linalg.norm(x)))
+    dense = [x] + [partial_transpose(x, [d, d, d], k) for k in range(3)]
+    for block, m in zip(BLOCKS[family], dense):
+        want = np.linalg.eigvalsh(m)[0]
+        assert abs(block(c).min_margin() - want) <= band, (family, d)
+
+
+def test_decisions_build_no_dense_matrix(monkeypatch):
+    w3, _ = werner3.rho_t(3, 1.0)
+    monkeypatch.setattr(linalg, "MAX_DIM", 0)
+    with pytest.raises(linalg.DimensionError):  # the cap is live
+        werner3.invariant_matrix(w3)
+    assert werner3.detect_entanglement_w3(w3, grid=4).verdict == "ENTANGLED"
+    for d in (2, 3):
+        c = quo.QuoCoeffs(d, 1.0 / d**3, 0, 0, 0, 0)
+        assert quo.decide_quo(c, grid=4).verdict == "SEPARABLE"
