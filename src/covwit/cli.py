@@ -38,13 +38,9 @@ def parse_coeffs(text):
 
 
 def make_tol(args):
-    kw = {}
-    if getattr(args, "tol_psd", None) is not None:
-        kw["psd_tol"] = args.tol_psd
-    if getattr(args, "tol_eq", None) is not None:
-        kw["eq_tol"] = args.tol_eq
+    kw = {"psd_tol": args.tol_psd, "eq_tol": args.tol_eq}
     try:
-        return Tolerances(**kw)
+        return Tolerances(**{k: v for k, v in kw.items() if v is not None})
     except ValueError as exc:
         raise ContractError(str(exc)) from exc
 
@@ -61,13 +57,13 @@ def cmd_certify(args):
     if args.family == "hh":
         co = hh.HHCoeffs(args.d, parse_number(args.a), parse_number(args.b),
                          parse_number(args.c))
-        cert = hh.decide(co, tol=tol, seed=args.seed)
+        cert = hh.decide(co, tol=tol)
     else:
         cls, decide = ((werner3.S3Coeffs, werner3.detect_entanglement_w3)
                        if args.family == "werner3"
                        else (quo.QuoCoeffs, quo.decide_quo))
         c = cls.from_tuple6(args.d, parse_coeffs(args.coeffs))
-        cert = decide(c, grid=args.grid, tol=tol, seed=args.seed)
+        cert = decide(c, grid=args.grid, tol=tol)
     emit_certificate(cert, args)
     return 0
 
@@ -143,7 +139,6 @@ def cmd_twirl(args):
         pr = twirl.oo_projections(d)
         coeffs = [float(np.real(np.trace(p @ x))) for p in (pr.P1, pr.P2,
                                                             pr.P3)]
-        res = float(np.linalg.norm(x - out))
     else:
         d = round(np.sqrt(n)) if args.family == "hh" else round(n ** (1 / 3))
         if (d * d if args.family == "hh" else d**3) != n:
@@ -151,10 +146,9 @@ def cmd_twirl(args):
         basis = twirl.std_bases(d)[args.family]
         coeffs = [complex(z) for z in twirl.coefficients(x, basis)]
         out = twirl.cond_expect(x, basis)
-        res = float(np.linalg.norm(x - out))
         coeffs = [[z.real, z.imag] for z in coeffs]
     print(f"coefficients: {coeffs}")
-    print(f"residual: {res!r}")
+    print(f"residual: {float(np.linalg.norm(x - out))!r}")
     if args.out:
         serialize.write_matrix(out, args.out)
     return 0
@@ -213,6 +207,8 @@ def cmd_sweep(args):
 
 
 def cmd_selftest(args):
+    if args.seed < 0:
+        raise ContractError(f"--seed must be >= 0, got {args.seed}")
     ok, _ = oracle.selftest(seed=args.seed, level=args.level)
     return 0 if ok else 2
 
@@ -225,10 +221,9 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def tolerances(sp):
         sp.add_argument("--tol-psd", type=float, default=None)
         sp.add_argument("--tol-eq", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=0)
 
     cert = sub.add_parser("certify", help="certify a family member")
     csub = cert.add_subparsers(dest="family", required=True)
@@ -238,7 +233,7 @@ def build_parser():
     chh.add_argument("--b", required=True)
     chh.add_argument("--c", required=True)
     chh.add_argument("--json", default=None)
-    common(chh)
+    tolerances(chh)
     for fam in ("werner3", "quo"):
         cf = csub.add_parser(fam)
         cf.add_argument("--d", type=int, required=True)
@@ -246,7 +241,7 @@ def build_parser():
                         help="ae,a12,a13,a23,re123,im123")
         cf.add_argument("--grid", type=int, default=16)
         cf.add_argument("--json", default=None)
-        common(cf)
+        tolerances(cf)
 
     st = sub.add_parser("state", help="build a named state")
     ssub = st.add_subparsers(dest="which", required=True)
@@ -254,7 +249,6 @@ def build_parser():
     srt.add_argument("--d", type=int, required=True)
     srt.add_argument("--t", required=True)
     srt.add_argument("--out", default=None)
-    common(srt)
 
     wit = sub.add_parser("witness", help="apply a witness map to a state")
     wsub = wit.add_subparsers(dest="which", required=True)
@@ -264,14 +258,12 @@ def build_parser():
     wap.add_argument("--adjoint", action="store_true",
                      help="apply the adjoint of the stored map")
     wap.add_argument("--out", default=None)
-    common(wap)
 
     tw = sub.add_parser("twirl", help="project onto an invariant algebra")
     tw.add_argument("--family", required=True,
                     choices=("hh", "uuu", "uubaru", "oo"))
     tw.add_argument("--matrix-file", required=True)
     tw.add_argument("--out", default=None)
-    common(tw)
 
     rg = sub.add_parser("regions", help="emit region data")
     rsub = rg.add_subparsers(dest="family", required=True)
@@ -279,7 +271,6 @@ def build_parser():
     rhh.add_argument("--d", type=int, required=True)
     rhh.add_argument("--emit", required=True,
                      choices=("vertices", "inequalities"))
-    common(rhh)
 
     sw = sub.add_parser("sweep", help="grid sweep to CSV")
     wsub2 = sw.add_subparsers(dest="family", required=True)
@@ -287,7 +278,6 @@ def build_parser():
     shh.add_argument("--d", type=int, required=True)
     shh.add_argument("--grid", type=int, required=True)
     shh.add_argument("--out", default=None)
-    common(shh)
 
     se = sub.add_parser("selftest", help="run the oracle-agreement suite")
     se.add_argument("--seed", type=int, default=0)

@@ -8,15 +8,15 @@ explicit linear inequalities in (a, b, c), and PPT coincides with
 entanglement breaking on this family.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certificate import Certificate, tol_dict, verdict_str
+from .certificate import Certificate
 from .choi import LinMap
 from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                     UnsupportedDimensionError, identity, is_number,
-                     is_psd)
+                     UnsupportedDimensionError, band, classify, identity,
+                     is_number, is_psd)
 
 CONSTRAINT_TAGS = (1, 2, 3, 4, 5, 6)
 
@@ -36,6 +36,10 @@ class HHCoeffs:
         if not all(is_number(v) and np.isfinite(v)
                    for v in (self.a, self.b, self.c)):
             raise ContractError("coefficients must be finite numbers")
+
+    def scale(self):
+        """The boundary-rule scale: the largest of |a|, |b|, |c|."""
+        return max(abs(self.a), abs(self.b), abs(self.c))
 
     def swapped(self):
         """Transpose-composed coefficients: psi_{a,b,c} o T = psi_{a,c,b}."""
@@ -89,18 +93,14 @@ def positivity_margins(co: HHCoeffs):
     }
 
 
-def _band(co: HHCoeffs, tol):
-    return tol.psd_tol * max(1.0, abs(co.a), abs(co.b), abs(co.c))
-
-
 def is_positive(co: HHCoeffs, tol=DEFAULT_TOL):
     """Positivity of psi_{a,b,c} for d >= 3; returns (bool, violated tag)."""
     if co.d < 3:
         raise UnsupportedDimensionError(
             "positivity of this family is only characterized for d >= 3")
-    band = _band(co, tol)
+    s = co.scale()
     for tag, m in positivity_margins(co).items():
-        if m < -band:
+        if classify(m, s, tol) == "false":
             return False, tag
     return True, None
 
@@ -118,8 +118,7 @@ def cptp_margins(co: HHCoeffs):
 
 
 def is_cptp(co: HHCoeffs, tol=DEFAULT_TOL):
-    band = _band(co, tol)
-    return all(m >= -band for m in cptp_margins(co))
+    return classify(min(cptp_margins(co)), co.scale(), tol) != "false"
 
 
 def is_ccp(co: HHCoeffs, tol=DEFAULT_TOL):
@@ -131,10 +130,10 @@ def is_ppt(co: HHCoeffs, tol=DEFAULT_TOL):
 
 
 def on_boundary(co: HHCoeffs, tol=DEFAULT_TOL):
-    """True if any CP/CCP constraint is within the tolerance band of tight."""
-    band = _band(co, tol)
-    ms = cptp_margins(co) + cptp_margins(co.swapped())
-    return any(abs(m) <= band for m in ms)
+    """True if any CP/CCP constraint reads "boundary"."""
+    s = co.scale()
+    return any(classify(m, s, tol) == "boundary"
+               for m in cptp_margins(co) + cptp_margins(co.swapped()))
 
 
 def counterexample_vector(tag, d):
@@ -240,8 +239,8 @@ def doc_is_cptp(t: DOCTriple, tol=DEFAULT_TOL):
     """CPTP test in the (A, B, C) form: A entrywise nonnegative with unit
     column sums, B PSD, C Hermitian with |C_ij|^2 <= A_ij A_ji."""
     a, b, c = t.A, t.B, t.C
-    band = tol.psd_tol * max(1.0, np.abs(a).max())
-    if np.min(a.real) < -band or np.abs(a.imag).max() > tol.eq_tol:
+    eps = band(np.abs(a).max(), tol)
+    if np.min(a.real) < -eps or np.abs(a.imag).max() > tol.eq_tol:
         return False
     if np.abs(a.real.sum(axis=0) - 1.0).max() > tol.eq_tol * a.shape[0]:
         return False
@@ -249,16 +248,17 @@ def doc_is_cptp(t: DOCTriple, tol=DEFAULT_TOL):
         return False
     if np.abs(c - c.conj().T).max() > tol.eq_tol:
         return False
-    lim = a.real * a.real.T + band
-    return bool(np.all(np.abs(c) ** 2 <= lim + 2 * band * np.abs(c)))
+    lim = a.real * a.real.T + eps
+    return bool(np.all(np.abs(c) ** 2 <= lim + 2 * eps * np.abs(c)))
 
 
-def decide(co: HHCoeffs, tol=DEFAULT_TOL, seed=0) -> Certificate:
+def decide(co: HHCoeffs, tol=DEFAULT_TOL) -> Certificate:
     """Full certificate for a channel psi_{a,b,c} (d >= 3, CPTP required).
 
     EB equals PPT on this family; the certificate additionally sweeps all 8
     extremal positive maps as witnesses against the normalized Choi and
-    checks that the witness verdict reproduces the PPT verdict.
+    checks that the witness verdict reproduces the PPT verdict.  Each check
+    is classified from its own margin under the linalg boundary rule.
     """
     if co.d < 3:
         raise UnsupportedDimensionError("decide requires d >= 3")
@@ -267,21 +267,20 @@ def decide(co: HHCoeffs, tol=DEFAULT_TOL, seed=0) -> Certificate:
             "decide certifies channels; input is not CPTP "
             "(see is_cptp/is_positive for region membership)")
     cert = Certificate("hh", co.d, {"a": co.a, "b": co.b, "c": co.c},
-                       tolerances=tol_dict(tol), seed=seed)
-    boundary = on_boundary(co, tol)
-    pos, tag = is_positive(co, tol)
-    cert.add_check("positive", pos, **({} if tag is None else {"tag": tag}))
-    cert.add_check("cp", True, boundary=boundary)
-    ccp = is_ccp(co, tol)
-    cert.add_check("ccp", ccp, boundary=boundary and ccp)
-    ppt = is_ppt(co, tol)
-    cert.add_check("ppt", ppt, boundary=boundary and ppt)
-    cert.add_check("eb", ppt, boundary=boundary and ppt)
+                       tolerances=asdict(tol))
+    s = co.scale()
+    pos = min(positivity_margins(co).values())
+    _, tag = is_positive(co, tol)
+    cert.add_check("positive", classify(pos, s, tol), margin=pos,
+                   **({} if tag is None else {"tag": tag}))
+    cp = min(cptp_margins(co))
+    ccp = min(cptp_margins(co.swapped()))
+    ppt = min(cp, ccp)
+    for name, m in (("cp", cp), ("ccp", ccp), ("ppt", ppt), ("eb", ppt)):
+        cert.add_check(name, classify(m, s, tol), margin=m)
 
     rho = build_psi(co).choi(normalized=True)
     ext = extremals(co.d)
-    band = tol.psd_tol * max(1.0, float(np.linalg.norm(rho)))
-    all_pass = True
     for kind, vs in (("cp", ext.cp_vertices), ("ccp", ext.ccp_vertices)):
         for i, v in enumerate(vs, start=1):
             w = build_psi(v)
@@ -290,11 +289,8 @@ def decide(co: HHCoeffs, tol=DEFAULT_TOL, seed=0) -> Certificate:
                 {"id": f"extremal-{kind}-{i}",
                  "params": {"a": v.a, "b": v.b, "c": v.c},
                  "min_eig": lo})
-            if lo < -band:
-                all_pass = False
-    cert.checks["separable_choi"] = {
-        "verdict": verdict_str(all_pass, boundary and all_pass),
-        "evidence": {"min_eig": min(w["min_eig"] for w in cert.witnesses)},
-    }
-    cert.verdict = "EB" if ppt else "NOT-EB"
+    lo = min(w["min_eig"] for w in cert.witnesses)
+    cert.add_check("separable_choi",
+                   classify(lo, float(np.linalg.norm(rho)), tol), min_eig=lo)
+    cert.verdict = "EB" if cert.check_true("ppt") else "NOT-EB"
     return cert

@@ -1,5 +1,12 @@
 """Dense complex linear algebra: partial transposes, Hermitian and PSD
-checks, and the size cap on dense builds."""
+checks, the size cap on dense builds, and the boundary rule.
+
+The boundary rule decides every signed margin, closed form or dense: a
+margin of degree k at scale s (the largest |coefficient| in the family's
+independent coordinates, or ||x||_F for a dense x) has the band psd_tol
+times max(1, s)^k, and reads "false" below -band, "boundary" within it and
+"true" above it.  "boundary" counts as passing.
+"""
 
 import numbers
 from dataclasses import dataclass
@@ -87,12 +94,6 @@ def flip(d):
     return f
 
 
-def _check_dims(x, dims):
-    n = int(np.prod(dims))
-    if x.shape != (n, n):
-        raise DimensionError(f"matrix shape {x.shape} inconsistent with dims {dims}")
-
-
 def partial_transpose(x, dims, which):
     """Transpose the selected tensor factor of a square matrix.
 
@@ -101,7 +102,8 @@ def partial_transpose(x, dims, which):
     """
     x = asmatrix(x)
     dims = list(dims)
-    _check_dims(x, dims)
+    if x.shape != (int(np.prod(dims)),) * 2:
+        raise DimensionError(f"matrix shape {x.shape} inconsistent with dims {dims}")
     k = len(dims)
     if not 0 <= which < k:
         raise DimensionError(f"factor index {which} out of range for {k} factors")
@@ -127,8 +129,21 @@ def check_hermitian(x, tol=DEFAULT_TOL):
     return (x + x.conj().T) / 2.0
 
 
+def band(scale, tol=DEFAULT_TOL, degree=1):
+    """Half-width of the boundary band at this scale and degree."""
+    return tol.psd_tol * max(1.0, scale) ** degree
+
+
+def classify(margin, scale, tol=DEFAULT_TOL, degree=1):
+    """The verdict "false", "boundary" or "true" of a margin."""
+    b = band(scale, tol, degree)
+    if margin < -b:
+        return "false"
+    return "boundary" if margin <= b else "true"
+
+
 def is_psd(x, tol=DEFAULT_TOL):
-    """PSD verdict with evidence: (min eig >= -psd_tol * max(1, ||x||_F), min eig)."""
+    """PSD verdict and evidence: (min eig passes at scale ||x||_F, min eig)."""
     x = asmatrix(x)
     lo = float(np.linalg.eigvalsh(check_hermitian(x, tol))[0])
-    return lo >= -tol.psd_tol * max(1.0, float(np.linalg.norm(x))), lo
+    return classify(lo, float(np.linalg.norm(x)), tol) != "false", lo

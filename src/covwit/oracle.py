@@ -7,8 +7,8 @@ import time
 import numpy as np
 
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, DimensionError, is_psd,
-                     partial_transpose)
+from .linalg import (DEFAULT_TOL, ContractError, DimensionError, classify,
+                     is_psd, partial_transpose)
 from .twirl import cond_expect, std_bases, twirl_oo
 
 
@@ -70,8 +70,7 @@ def brute_positive_sample(m: LinMap, n=1000, seed=0, extra_vectors=(),
         out = m(np.outer(v, v.conj()))
         lo = float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
         worst = min(worst, lo)
-    scale = max(1.0, worst if worst > 0 else -worst)
-    return worst >= -tol.psd_tol * max(1.0, scale), worst
+    return classify(worst, abs(worst), tol) != "false", worst
 
 
 def _batched_conjugation_average(x, gens):

@@ -25,6 +25,14 @@ class QuoCoeffs(s3.Coeffs):
 
     MIN_D = 2
 
+    def scale(self):
+        """At d = 2 the scale of reduce_d2(self): one band per operator."""
+        if self.d != 2:
+            return super().scale()
+        ae = self.a_e
+        return max(abs(self.a_12 + ae), abs(self.a_13 + ae),
+                   abs(self.a_23 + ae), abs(complex(self.a_123) - ae))
+
 
 def reduce_d2(c: QuoCoeffs) -> QuoCoeffs:
     """Fold a_e into the other coefficients via the d = 2 relation
@@ -91,18 +99,24 @@ def is_ccp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     return werner3.is_ccp_w3(werner3.relabel(c, "13"), tol)
 
 
-def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
-    """Partial-transpose verdicts for the state rho = sum a_sigma T_sigma.
+def ppt_margins_quo(c: QuoCoeffs):
+    """Least eigenvalue of each partial transpose of rho = sum a_sigma T_sigma.
 
     A-BC is the CCP condition; B-AC transposes away the built-in T_B, leaving
     PSD-ness of the V-combination; C-AB is the global transpose of the
     A-partial-transposed V-combination.
     """
     return {
-        "A-BC": is_ccp_quo(c, tol),
-        "B-AC": werner3.is_cp_w3(c, tol),
-        "C-AB": werner3.is_ccp_w3(c, tol),
+        "A-BC": werner3.G_iso(werner3.relabel(c, "13")).min_margin(),
+        "B-AC": werner3.F_iso(c).min_margin(),
+        "C-AB": werner3.G_iso(c).min_margin(),
     }
+
+
+def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
+    """Partial-transpose verdicts for the state rho = sum a_sigma T_sigma."""
+    return {part: v != "false"
+            for part, v in s3.ppt_verdicts(ppt_margins_quo(c), c, tol).items()}
 
 
 trace_quo = QuoCoeffs.trace
@@ -155,7 +169,7 @@ def _witness_rows(d, grid):
     return s3.grid_rows(extremal_quo, ("I'", "II'"), d, grid)
 
 
-def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL, seed=0) -> Certificate:
+def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL) -> Certificate:
     """Separability certificate across A-BC: separable iff A-BC PPT.
 
     The closed-form PPT verdict is decisive; the least eigenvalue of the
@@ -163,19 +177,19 @@ def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL, seed=0) -> Certificate:
     witnesses of every type are recorded as confirming evidence.
     """
     state_check(c, tol)
-    cert = s3.certificate("quo", c, tol, seed)
+    cert = s3.certificate("quo", c, tol)
 
-    ppt = ppt_quo(c, tol)
-    for part, ok in ppt.items():
-        cert.add_check(f"ppt_{part}", ok)
-    cert.checks["ppt_A-BC"]["evidence"]["pt_min_eig"] = werner3.G_iso(
-        werner3.relabel(c, "13")).min_margin()
-    cert.add_check("separable_A-BC", ppt["A-BC"])
+    margins = ppt_margins_quo(c)
+    ppt = s3.ppt_verdicts(margins, c, tol)
+    cert.add_check("ppt_A-BC", ppt["A-BC"], pt_min_eig=margins["A-BC"])
+    for part in ("B-AC", "C-AB"):
+        cert.add_check(f"ppt_{part}", ppt[part], margin=margins[part])
+    cert.add_check("separable_A-BC", ppt["A-BC"], margin=margins["A-BC"])
 
     rows = _witness_rows(c.d, grid)
     mins, _ = s3.witness_sweep(cert, c, rows, tol)
     worst = int(np.argmin(mins))
     cert.witnesses.append({"id": rows[worst][0],
                            "min_eig": float(mins[worst])})
-    cert.verdict = "SEPARABLE" if ppt["A-BC"] else "ENTANGLED"
+    cert.verdict = "ENTANGLED" if ppt["A-BC"] == "false" else "SEPARABLE"
     return cert

@@ -9,14 +9,14 @@ closed forms and verdict rules) stays in werner3.py and quo.py and is passed
 in, looked up in the family module at call time.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certificate import Certificate, tol_dict, verdict_str
+from .certificate import Certificate
 from .choi import LinMap
 from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                     check_dense, is_number)
+                     check_dense, classify, is_number)
 from .twirl import PERMS
 
 TP_TOL = 1e-12
@@ -78,7 +78,9 @@ class Coeffs:
                          q, q.conjugate()])
 
     def scale(self):
-        return max(1.0, max(abs(v) for v in self.vector()))
+        """The boundary-rule scale: the largest |a_sigma|."""
+        return max(abs(self.a_e), abs(self.a_12), abs(self.a_13),
+                   abs(self.a_23), abs(self.a_123))
 
     def scale_by(self, f):
         return type(self)(self.d, f * self.a_e, f * self.a_12, f * self.a_13,
@@ -133,11 +135,16 @@ def extremal(cls, d, type_name, params, sign, tup, is_positive):
 
 
 def margins_ok(margins, scale, tol=DEFAULT_TOL):
-    """Band test of positivity margins: every margin but the last is linear
-    in the coefficients and may dip to -psd_tol * scale, the last one is
-    quadratic and may dip to -psd_tol * scale^2."""
-    return (all(m >= -tol.psd_tol * scale for m in margins[:-1])
-            and margins[-1] >= -tol.psd_tol * (scale * scale))
+    """Boundary-rule test of positivity margins: every margin but the last
+    is linear in the coefficients, the last one is quadratic."""
+    return (classify(min(margins[:-1]), scale, tol) != "false"
+            and classify(margins[-1], scale, tol, degree=2) != "false")
+
+
+def ppt_verdicts(margins, c: Coeffs, tol=DEFAULT_TOL):
+    """{partition: verdict} of partial-transpose margins at c's scale."""
+    s = c.scale()
+    return {part: classify(m, s, tol) for part, m in margins.items()}
 
 
 def build_map(c: Coeffs, build_one, family) -> LinMap:
@@ -200,12 +207,12 @@ def grid_rows(extremal_fn, types, d, grid):
             for ex in extremal_grid(extremal_fn, types, d, grid)]
 
 
-def certificate(family, c: Coeffs, tol, seed) -> Certificate:
+def certificate(family, c: Coeffs, tol) -> Certificate:
     """An empty certificate for the state with coefficients c."""
     return Certificate(family, c.d, {
         "a_e": c.a_e, "a_12": c.a_12, "a_13": c.a_13, "a_23": c.a_23,
         "re_123": c.r, "im_123": c.s,
-    }, tolerances=tol_dict(tol), seed=seed)
+    }, tolerances=asdict(tol))
 
 
 def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):
@@ -215,21 +222,18 @@ def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):
     Each image (id (x) X_sigma*)(rho) lies in span{I, d Omega}: its
     eigenvalue on Omega is g_sigma / d, g_sigma = Tr(rho X_sigma), and its
     trace, d g_e, g_e, g_e, d g_23, g_23, g_23, fixes its eigenvalue on the
-    other d^2 - 1 directions.  Records the witness_sweep check and returns
-    (minima, all rows nonnegative).
+    other d^2 - 1 directions.  Records the witness_sweep check at the scale
+    ||rho||_F = sqrt(v . g) and returns (minima, whether it passes).
     """
     d = c.d
     v = c.vector()
     g = (float(d) ** CYCLES) @ v
-    band = tol.psd_tol * max(1.0, float(np.sqrt(max((v @ g).real, 0.0))))
     omega = g / d
     traces = np.array([d * g[0], g[0], g[0], d * g[3], g[3], g[3]])
     alpha = (traces - omega) / (d * d - 1)
     w = np.array([row for _, row in rows])
     mins = (w @ np.stack([alpha, omega], axis=1)).real.min(axis=1)
-    ok = bool(mins.min() >= -band)
-    cert.checks["witness_sweep"] = {
-        "verdict": verdict_str(ok),
-        "evidence": {"count": len(rows), "min_eig": float(mins.min())},
-    }
-    return mins, ok
+    lo = float(mins.min())
+    verdict = classify(lo, float(np.sqrt(max((v @ g).real, 0.0))), tol)
+    cert.add_check("witness_sweep", verdict, count=len(rows), min_eig=lo)
+    return mins, verdict != "false"

@@ -16,7 +16,8 @@ import numpy as np
 from . import s3
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import DEFAULT_TOL, ContractError, DimensionError, flip, identity
+from .linalg import (DEFAULT_TOL, ContractError, DimensionError, classify,
+                     flip, identity)
 from .twirl import PERMS, build_V
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -164,22 +165,27 @@ def G_iso(c: s3.Coeffs) -> Table2Block:
 
 def is_cp_w3(c: s3.Coeffs, tol=DEFAULT_TOL):
     """CP of the map / PSD-ness of the invariant matrix itself."""
-    return F_iso(c).min_margin() >= -tol.psd_tol * c.scale()
+    return classify(F_iso(c).min_margin(), c.scale(), tol) != "false"
 
 
 def is_ccp_w3(c: s3.Coeffs, tol=DEFAULT_TOL):
     """CCP of the map / PSD-ness of the A-partial-transposed matrix."""
-    return G_iso(c).min_margin() >= -tol.psd_tol * c.scale()
+    return classify(G_iso(c).min_margin(), c.scale(), tol) != "false"
+
+
+def ppt_margins_w3(c: S3Coeffs):
+    """Least eigenvalue of each partial transpose, via relabelings."""
+    return {
+        "A-BC": G_iso(c).min_margin(),
+        "B-AC": G_iso(relabel(c, "12")).min_margin(),
+        "C-AB": G_iso(relabel(c, "13")).min_margin(),
+    }
 
 
 def ppt_w3(c: S3Coeffs, tol=DEFAULT_TOL):
-    """Three partial-transpose verdicts for the invariant state
-    sum a_sigma V_sigma, via S3-conjugation relabelings."""
-    return {
-        "A-BC": is_ccp_w3(c, tol),
-        "B-AC": is_ccp_w3(relabel(c, "12"), tol),
-        "C-AB": is_ccp_w3(relabel(c, "13"), tol),
-    }
+    """Three partial-transpose verdicts for the invariant state."""
+    return {part: v != "false"
+            for part, v in s3.ppt_verdicts(ppt_margins_w3(c), c, tol).items()}
 
 
 trace_w3 = S3Coeffs.trace
@@ -219,7 +225,10 @@ def rho_t(d, t):
         raise DimensionError("d must be >= 3")
     if t <= 0:
         raise ContractError("t must be > 0")
-    pf = 1.0 / (d**3 + (t + 1) * d**2 + 2 * t)
+    norm = d**3 + (t + 1) * d**2 + 2 * t
+    if not np.isfinite(norm):
+        raise ContractError(f"rho_t normalizer overflows at t = {t}")
+    pf = 1.0 / norm
     c = S3Coeffs(d, pf * (d + t) / d, 0.0, pf, 0.0, complex(pf * t / d, 0.0))
     return c, invariant_matrix(c)
 
@@ -258,8 +267,8 @@ def state_check(c: S3Coeffs, tol=DEFAULT_TOL):
     s3.state_check(c, is_cp_w3, tol)
 
 
-def detect_entanglement_w3(c: S3Coeffs, grid=64, tol=DEFAULT_TOL,
-                           seed=0) -> Certificate:
+def detect_entanglement_w3(c: S3Coeffs, grid=64,
+                           tol=DEFAULT_TOL) -> Certificate:
     """Witness sweep over extremal covariant positive maps.
 
     Any witness with (id (x) L*)(rho) acquiring a negative eigenvalue proves
@@ -267,10 +276,11 @@ def detect_entanglement_w3(c: S3Coeffs, grid=64, tol=DEFAULT_TOL,
     the verdict is inconclusive at the chosen grid resolution.
     """
     state_check(c, tol)
-    cert = s3.certificate("werner3", c, tol, seed)
-    ppt = ppt_w3(c, tol)
-    for part, ok in ppt.items():
-        cert.add_check(f"ppt_{part}", ok)
+    cert = s3.certificate("werner3", c, tol)
+    margins = ppt_margins_w3(c)
+    ppt = s3.ppt_verdicts(margins, c, tol)
+    for part, v in ppt.items():
+        cert.add_check(f"ppt_{part}", v, margin=margins[part])
 
     rows = _witness_coeff_grid(c.d, grid)
     mins, ok = s3.witness_sweep(cert, c, rows, tol)
@@ -281,7 +291,7 @@ def detect_entanglement_w3(c: S3Coeffs, grid=64, tol=DEFAULT_TOL,
                                "min_eig": float(mins[worst])})
     if not ok:
         cert.verdict = "ENTANGLED"
-    elif not all(ppt.values()):
+    elif "false" in ppt.values():
         cert.verdict = "NPT-ENTANGLED"
     else:
         cert.verdict = "INCONCLUSIVE-AT-RESOLUTION"

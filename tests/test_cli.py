@@ -45,7 +45,7 @@ def test_certify_hh_vertex(tmp_path, capsys):
 def test_certificate_bytes_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["certify", "hh", "--d", "3", "--a", "0.9", "--b", "0.1",
-            "--c", "0.05", "--seed", "3"]
+            "--c", "0.05"]
     assert run(args + ["--json", str(a)]) == 0
     assert run(args + ["--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -156,6 +156,25 @@ def test_exit_code_invalid_input(capsys):
                 "1/27,0,0,0,0,0", "--tol-psd", "nan"]) == 1
     capsys.readouterr()
     _one_line_error(capsys, ["sweep", "hh", "--d", "1", "--grid", "2"])
+    _one_line_error(capsys, ["selftest", "--seed", "-1"])
+    _one_line_error(capsys, ["state", "rho-t", "--d", "3", "--t", "1e308"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "hh", "--d", "3", "--a", "1", "--b", "0", "--c", "0"],
+    ["certify", "quo", "--d", "3", "--coeffs", "1/27,0,0,0,0,0"],
+    ["state", "rho-t", "--d", "3", "--t", "1"],
+    ["regions", "hh", "--d", "3", "--emit", "vertices"],
+    ["sweep", "hh", "--d", "3", "--grid", "2"],
+], ids=["certify", "certify-quo", "state", "regions", "sweep"])
+def test_flags_nothing_reads_are_gone(argv, capsys):
+    """Only certify takes tolerances and only selftest takes a seed."""
+    assert run(argv) == 0
+    extra = [["--seed", "3"]]
+    if argv[0] != "certify":
+        extra += [["--tol-psd", "0.5"], ["--tol-eq", "0.5"]]
+    for flag in extra:
+        assert run(argv + flag) == 1, flag
 
 
 def _one_line_error(capsys, argv):

@@ -34,8 +34,10 @@ def dense_minima(mod, build_one, c, rows):
 
 def as_state(cls, d, v, shrink):
     """a_e = 1 dominating the other coefficients (so the operator is PSD),
-    normalized to trace 1."""
+    normalized to trace 1.  ||V_sigma|| = 1, but ||T_sigma|| is up to d."""
     rest = np.abs(v[1:4]).sum() + 2 * abs(complex(v[4], v[5]))
+    if cls is quo.QuoCoeffs:
+        rest *= d
     f = shrink / max(rest, 1e-12)
     c = cls.from_tuple6(d, (1.0,) + tuple(f * x for x in v[1:]))
     return c.scale_by(1.0 / c.trace())
@@ -53,7 +55,7 @@ def test_witness_sweep_matches_dense_images(case, v, state, shrink, extra):
         mod.state_check(c)
     rows = catalogue(d, 4) + [
         ("random", cls.from_tuple6(d, w).vector()) for w in extra]
-    cert = s3.certificate(family, c, DEFAULT_TOL, 0)
+    cert = s3.certificate(family, c, DEFAULT_TOL)
     mins, _ = s3.witness_sweep(cert, c, rows, DEFAULT_TOL)
     want, norm = dense_minima(mod, build_one, c, rows)
     for (_, w), got, ref in zip(rows, mins, want):

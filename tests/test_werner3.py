@@ -149,6 +149,11 @@ def test_rho_t_is_state():
         w3.rho_t(3, 0.0)
 
 
+def test_rho_t_rejects_an_overflowing_normalizer():
+    with pytest.raises(ContractError):
+        w3.rho_t(3, 1e308)
+
+
 def test_rho_t_certificate_t1():
     """d=3, t=1: A-BC and C-AB PPT, B-AC not; the canonical witness gives
     min eigenvalue -(2/3)/47; overall verdict ENTANGLED."""
