@@ -24,7 +24,7 @@ def parse_number(text):
         if "/" in text:
             return float(Fraction(text))
         return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ContractError(f"cannot parse number {text!r}") from exc
 
 
@@ -93,13 +93,18 @@ def map_from_file(path):
 
     if "choi_unnormalized" in obj:
         c = serialize.matrix_from_obj(obj["choi_unnormalized"])
-        return LinMap(dim("d_in"), dim("d_out"), choi_unnorm=c)
+        return LinMap(dim("d_in"), dim("d_out"), c)
     fam = obj.get("family")
     if fam not in ("hh", "werner3-L", "quo-M"):
         raise ContractError(f"unrecognized map JSON in {path}")
     co = obj.get("coeffs")
     if not isinstance(co, dict):
         raise ContractError(f"map JSON in {path} needs a \"coeffs\" object")
+    keys = (("a", "b", "c") if fam == "hh"
+            else ("a_e", "a_12", "a_13", "a_23", "re_123"))
+    for key in keys:
+        if key not in co:
+            raise ContractError(f"map JSON in {path}: coeffs lack {key!r}")
     if fam == "hh":
         return hh.build_psi(hh.HHCoeffs(dim("d"), co["a"], co["b"], co["c"]))
     mod, cls = ((werner3, werner3.S3Coeffs) if fam == "werner3-L"
@@ -107,6 +112,13 @@ def map_from_file(path):
     return mod.build_map(cls.from_tuple6(dim("d"), (
         co["a_e"], co["a_12"], co["a_13"], co["a_23"], co["re_123"],
         co.get("im_123", 0.0))))
+
+
+def finite(x, what):
+    """x, unless an overflow made it non-finite."""
+    if not np.isfinite(x).all():
+        raise NumericalError(f"{what} is not finite (overflow)")
+    return x
 
 
 def cmd_witness(args):
@@ -119,8 +131,9 @@ def cmd_witness(args):
         raise DimensionError(
             f"state dimension {n} is not a multiple of map input {w.d_in}")
     d_id = n // w.d_in
-    out = w.id_tensor(rho, d_id)
-    ev = np.linalg.eigvalsh((out + out.conj().T) / 2)
+    out = finite(w.id_tensor(rho, d_id), "witness image")
+    ev = finite(np.linalg.eigvalsh((out + out.conj().T) / 2),
+                "witness image spectrum")
     print(f"min_eig: {float(ev[0])!r}")
     print(f"max_eig: {float(ev[-1])!r}")
     if args.out:
@@ -147,8 +160,9 @@ def cmd_twirl(args):
         coeffs = [complex(z) for z in twirl.coefficients(x, basis)]
         out = twirl.cond_expect(x, basis)
         coeffs = [[z.real, z.imag] for z in coeffs]
+    residual = finite(np.linalg.norm(x - out), "twirl residual")
     print(f"coefficients: {coeffs}")
-    print(f"residual: {float(np.linalg.norm(x - out))!r}")
+    print(f"residual: {float(residual)!r}")
     if args.out:
         serialize.write_matrix(out, args.out)
     return 0
@@ -213,8 +227,15 @@ def cmd_selftest(args):
     return 0 if ok else 2
 
 
+class Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one stderr line, exit code 1."""
+
+    def error(self, message):
+        raise ContractError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = Parser(
         prog="covwit",
         description="certify separability / PPT / entanglement breaking for "
                     "group-covariant channels and invariant states")
@@ -297,13 +318,15 @@ DISPATCH = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one command.  numpy's floating-point warnings are silenced so
+    that a failure prints one stderr line; `witness apply` and `twirl`
+    report a non-finite result as a numerical failure."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        with np.errstate(all="ignore"):
+            return DISPATCH[args.command](args)
+    except SystemExit as exc:  # --help and --version
         return 0 if exc.code in (0, None) else 1
-    try:
-        return DISPATCH[args.command](args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,8 @@ import numpy as np
 from .certificate import Certificate
 from .choi import LinMap
 from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                     UnsupportedDimensionError, band, classify, identity,
-                     is_number, is_psd)
+                     UnsupportedDimensionError, band, check_dense, classify,
+                     identity, is_number, is_psd)
 
 CONSTRAINT_TAGS = (1, 2, 3, 4, 5, 6)
 
@@ -67,17 +67,19 @@ class HHExtremals:
 
 
 def build_psi(co: HHCoeffs) -> LinMap:
+    """psi_{a,b,c} from its unnormalized Choi matrix a I/d + b sum_ij
+    e_ij (x) e_ij + c F + (1-a-b-c) sum_i e_ii (x) e_ii.  The (ii),(ii)
+    entries are summed as a (1/d) + (b + c) + (1-a-b-c), the order in which
+    the action a Tr(X) I/d + b X + c X^T + (1-a-b-c) diag(X) sums them."""
     d, a, b, c = co.d, co.a, co.b, co.c
-    w = 1.0 - a - b - c
-
-    def apply_fn(x):
-        out = (a * np.trace(x) / d) * identity(d)
-        out += b * x + c * x.T
-        out += w * np.diag(np.diag(x))
-        return out
-
-    return LinMap(d, d, apply_fn=apply_fn, family="hh", coeffs=co,
-                  name=f"psi[{a},{b},{c}]")
+    check_dense(d * d)
+    i = np.arange(d)
+    ii = i * (d + 1)
+    choi = np.diag(np.full(d * d, a * (1 / d), dtype=complex))
+    choi[ii[:, None], ii] = b
+    choi[i[:, None] * d + i, i * d + i[:, None]] = c
+    choi[ii, ii] = a * (1 / d) + (b + c) + (1.0 - a - b - c)
+    return LinMap(d, d, choi, family="hh")
 
 
 def positivity_margins(co: HHCoeffs):

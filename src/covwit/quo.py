@@ -14,7 +14,7 @@ import numpy as np
 from . import s3, werner3
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import DEFAULT_TOL, ContractError, partial_transpose
+from .linalg import DEFAULT_TOL, ContractError
 from .twirl import build_T
 
 
@@ -45,17 +45,13 @@ def reduce_d2(c: QuoCoeffs) -> QuoCoeffs:
 
 def build_M(sigma, d) -> LinMap:
     """The covariant map whose unnormalized Choi matrix is T_sigma."""
-    inner = werner3.build_L(sigma, d)
-
-    def fn(x):
-        return partial_transpose(inner(x), [d, d], 0)
-
-    return LinMap(d, d * d, apply_fn=fn, family="quo-M", name=f"M[{sigma}]")
+    return LinMap(d, d * d, build_T(sigma, d), family="quo-M")
 
 
 def build_map(c: QuoCoeffs) -> LinMap:
-    """M = sum_sigma a_sigma M_sigma as a single structured map."""
-    return s3.build_map(c, build_M, "quo-M")
+    """M = sum_sigma a_sigma M_sigma, whose Choi matrix is the invariant
+    matrix of c."""
+    return LinMap(c.d, c.d * c.d, invariant_matrix(c), family="quo-M")
 
 
 def invariant_matrix(c: QuoCoeffs):

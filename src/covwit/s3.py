@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .certificate import Certificate
-from .choi import LinMap
 from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
                      check_dense, classify, is_number)
 from .twirl import PERMS
@@ -147,22 +146,6 @@ def ppt_verdicts(margins, c: Coeffs, tol=DEFAULT_TOL):
     return {part: classify(m, s, tol) for part, m in margins.items()}
 
 
-def build_map(c: Coeffs, build_one, family) -> LinMap:
-    """sum_sigma a_sigma W_sigma as one structured map, W_sigma =
-    build_one(sigma, d)."""
-    maps = [build_one(s, c.d) for s in PERMS]
-    w = c.vector()
-
-    def fn(x):
-        out = np.zeros((c.d * c.d, c.d * c.d), dtype=complex)
-        for wi, m in zip(w, maps):
-            if wi != 0:
-                out += wi * m(x)
-        return out
-
-    return LinMap(c.d, c.d * c.d, apply_fn=fn, family=family, coeffs=c)
-
-
 def invariant_matrix(c: Coeffs, build_op):
     """X = sum_sigma a_sigma X_sigma on (C^d)^3, X_sigma = build_op(sigma, d)."""
     check_dense(c.d**3)
@@ -174,9 +157,12 @@ def invariant_matrix(c: Coeffs, build_op):
 
 
 def state_check(c: Coeffs, is_cp, tol=DEFAULT_TOL):
-    """Raise unless the coefficients describe a quantum state."""
+    """Raise unless the coefficients describe a quantum state.  The rounding
+    error of the trace grows with the largest raw |a_sigma|, so its bound
+    does too."""
     tr = c.trace()
-    if abs(tr - 1.0) > tol.eq_tol * c.d**3:
+    bound = tol.eq_tol * c.d**3 * max(1.0, Coeffs.scale(c))
+    if not abs(tr - 1.0) <= bound:
         raise ContractError(f"trace {tr} != 1: not a normalized state")
     if not is_cp(c, tol):
         raise ContractError("coefficient matrix is not PSD: not a state")

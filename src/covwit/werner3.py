@@ -16,9 +16,8 @@ import numpy as np
 from . import s3
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, DimensionError, classify,
-                     flip, identity)
-from .twirl import PERMS, build_V
+from .linalg import DEFAULT_TOL, ContractError, DimensionError, classify
+from .twirl import build_V
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -63,47 +62,13 @@ def relabel(c: s3.Coeffs, tau):
 
 def build_L(sigma, d) -> LinMap:
     """The covariant map whose unnormalized Choi matrix is V_sigma."""
-    if sigma not in PERMS:
-        raise ContractError(f"unknown permutation {sigma!r}")
-    eye = identity(d)
-
-    if sigma == "e":
-        fn = lambda x: np.trace(x) * np.kron(eye, eye)
-    elif sigma == "12":
-        fn = lambda x: np.kron(x.T, eye)
-    elif sigma == "13":
-        fn = lambda x: np.kron(eye, x.T)
-    elif sigma == "23":
-        f = flip(d)
-        fn = lambda x: np.trace(x) * f
-    elif sigma == "123":
-        def fn(x):
-            out = np.zeros((d * d, d * d), dtype=complex)
-            o4 = out.reshape(d, d, d, d)
-            for j1 in range(d):
-                for j2 in range(d):
-                    if x[j1, j2] != 0:
-                        for j3 in range(d):
-                            o4[j2, j3, j3, j1] += x[j1, j2]
-            return out
-    else:  # "132"
-        def fn(x):
-            out = np.zeros((d * d, d * d), dtype=complex)
-            o4 = out.reshape(d, d, d, d)
-            for j1 in range(d):
-                for j3 in range(d):
-                    if x[j1, j3] != 0:
-                        for j2 in range(d):
-                            o4[j2, j3, j1, j2] += x[j1, j3]
-            return out
-
-    return LinMap(d, d * d, apply_fn=fn, family="werner3-L",
-                  name=f"L[{sigma}]")
+    return LinMap(d, d * d, build_V(sigma, d), family="werner3-L")
 
 
 def build_map(c: S3Coeffs) -> LinMap:
-    """L = sum_sigma a_sigma L_sigma as a single structured map."""
-    return s3.build_map(c, build_L, "werner3-L")
+    """L = sum_sigma a_sigma L_sigma, whose Choi matrix is the invariant
+    matrix of c."""
+    return LinMap(c.d, c.d * c.d, invariant_matrix(c), family="werner3-L")
 
 
 def invariant_matrix(c: S3Coeffs):

@@ -4,8 +4,7 @@ checks."""
 import numpy as np
 import pytest
 
-from covwit import werner3
-from covwit.choi import LinMap
+from covwit import hh, werner3
 from covwit.linalg import (DEFAULT_TOL, MAX_DIM, ContractError,
                            DimensionError, Tolerances, check_dense,
                            check_hermitian, flip, identity, is_psd,
@@ -52,7 +51,7 @@ def test_dense_builds_are_capped_before_they_allocate():
     with pytest.raises(DimensionError):
         werner3.invariant_matrix(werner3.S3Coeffs(17, 1, 0, 0, 0, 0))
     with pytest.raises(DimensionError):
-        LinMap(65, 65, apply_fn=lambda x: x).choi()
+        hh.build_psi(hh.HHCoeffs(65, 1, 0, 0))
 
 
 def test_partial_transpose_factors():

@@ -2,6 +2,8 @@
 reduction at d = 2, closed-form membership tests, and the PPT = separability
 equivalence across the A-BC cut."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,54 @@ def test_T_is_partial_transpose_of_V(sigma, d):
                           partial_transpose(build_V(sigma, d), [d, d, d], 1))
 
 
+def explicit_M(sigma, x):
+    """M_sigma(x) = (T (x) id)(L_sigma(x)) from its closed-form action."""
+    d = x.shape[0]
+    eye = np.eye(d)
+    if sigma == "e":
+        return np.trace(x) * np.eye(d * d)
+    if sigma == "12":
+        return np.kron(x, eye)
+    if sigma == "13":
+        return np.kron(eye, x.T)
+    v = eye.reshape(-1)
+    if sigma == "23":
+        return np.trace(x) * np.outer(v, v)
+    out = np.zeros((d, d, d, d), dtype=complex)
+    for j1, j2, j3 in itertools.product(range(d), repeat=3):
+        if sigma == "123":
+            out[j3, j3, j2, j1] += x[j1, j2]
+        else:
+            out[j1, j3, j2, j2] += x[j1, j3]
+    return out.reshape(d * d, d * d)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("sigma", PERMS)
 def test_M_choi_is_T(sigma, d):
-    c = quo.build_M(sigma, d).choi(normalized=False)
-    assert np.abs(c - build_T(sigma, d)).max() < 1e-12
+    """The map with unnormalized Choi matrix T_sigma acts as M_sigma."""
+    rng = np.random.default_rng(d)
+    m = quo.build_M(sigma, d)
+    assert m.family == "quo-M"
+    for _ in range(3):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.abs(m(x) - explicit_M(sigma, x)).max() < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e6, 1e7, 1e8])
+def test_state_check_is_invariant_under_the_d2_relation(lam):
+    """Shifting a d = 2 state by lam (1, -1, -1, -1, 1, 0) leaves the
+    operator as it is (T_e = T_12 + T_13 + T_23 - T_123 - T_132), so the
+    state check and the verdict stay; the trace only rounds at scale lam."""
+    c = quo.QuoCoeffs.from_tuple6(2, (0.1, 0.01, -0.02, 0.03, 0.004, 0.002))
+    c = c.scale_by(1 / c.trace())
+    ae, a12, a13, a23, r, s = c.as_tuple6()
+    shifted = quo.QuoCoeffs.from_tuple6(
+        2, (ae + lam, a12 - lam, a13 - lam, a23 - lam, r + lam, s))
+    assert (quo.decide_quo(shifted, grid=4).verdict
+            == quo.decide_quo(c, grid=4).verdict)
+    with pytest.raises(ContractError, match="not a normalized state"):
+        quo.state_check(c.scale_by(1 + 1e-6))
 
 
 def test_coeffs_validation():

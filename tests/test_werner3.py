@@ -1,11 +1,13 @@
 """Tripartite Werner symmetry: covariant maps L_sigma, block isomorphisms,
 extremal witnesses, and the PPT-entangled state family rho_t."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from covwit import werner3 as w3
-from covwit.linalg import (ContractError, DimensionError, is_psd,
+from covwit.linalg import (ContractError, DimensionError, flip, is_psd,
                            partial_transpose)
 from covwit.oracle import brute_positive_orbit
 from covwit.twirl import PERMS, build_V
@@ -33,12 +35,37 @@ def test_coeffs_validation():
     assert np.allclose(c.vector(), [1, 2, 3, 4, 5 + 6j, 5 - 6j])
 
 
+def explicit_L(sigma, x):
+    """L_sigma(x) from its closed-form action, one index at a time."""
+    d = x.shape[0]
+    eye = np.eye(d)
+    if sigma == "e":
+        return np.trace(x) * np.eye(d * d)
+    if sigma == "12":
+        return np.kron(x.T, eye)
+    if sigma == "13":
+        return np.kron(eye, x.T)
+    if sigma == "23":
+        return np.trace(x) * flip(d)
+    out = np.zeros((d, d, d, d), dtype=complex)
+    for j1, j2, j3 in itertools.product(range(d), repeat=3):
+        if sigma == "123":
+            out[j2, j3, j3, j1] += x[j1, j2]
+        else:
+            out[j2, j3, j1, j2] += x[j1, j3]
+    return out.reshape(d * d, d * d)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("sigma", PERMS)
 def test_L_choi_is_V(sigma, d):
-    """The unnormalized Choi matrix of L_sigma is V_sigma."""
-    c = w3.build_L(sigma, d).choi(normalized=False)
-    assert np.abs(c - build_V(sigma, d)).max() < 1e-12
+    """The map with unnormalized Choi matrix V_sigma acts as L_sigma."""
+    rng = np.random.default_rng(d)
+    m = w3.build_L(sigma, d)
+    assert m.family == "werner3-L"
+    for _ in range(3):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.abs(m(x) - explicit_L(sigma, x)).max() < 1e-12
 
 
 def test_relabel_matches_conjugation():
