@@ -10,7 +10,6 @@ double-checked with one.
 import numpy as np
 
 from covwit import hh
-from covwit.linalg import is_psd
 
 d = 3
 print(f"=== psi_(a,b,c) on M_{d} ===\n")

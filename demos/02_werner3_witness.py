@@ -32,6 +32,7 @@ for t in (1.0, 3.0, 5.6):
     print(f"  verdict: {cert.verdict}")
 
 print(f"\nanalytic witness value at t=1: -(2/3)/47 = {-(2/3)/47:+.6e}")
-tm = werner3.t_max(d, tol_t=1e-4)
-print(f"A-BC PPT threshold by bisection: t_max({d}) = {tm:.4f}"
-      f"   (analytic (21+sqrt(1161))/10 = {(21+np.sqrt(1161))/10:.4f})")
+tm = werner3.t_max(d)
+print(f"A-BC PPT threshold, the larger root of 5t^2 - 21t - 36: "
+      f"t_max({d}) = {tm:.4f}"
+      f"   (= (21+sqrt(1161))/10 = {(21+np.sqrt(1161))/10:.4f})")

@@ -2,9 +2,9 @@
 
 A certificate records, for one input family member, every membership check
 (positivity, CP, CCP, PPT per partition, EB, separability) with a verdict in
-{"true", "false", "boundary", "inconclusive"} plus the numeric evidence it
-was classified by, the witness sweep results, and the tolerances that
-produced them, so the JSON output is reproducible byte for byte.
+{"true", "false", "boundary"} (from `linalg.classify`) plus the numeric
+evidence it was classified by, the witness sweep results, and the tolerances
+that produced them, so the JSON output is reproducible byte for byte.
 """
 
 import json
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 
-VERDICTS = ("true", "false", "boundary", "inconclusive")
+VERDICTS = ("true", "false", "boundary")
 
 
 @dataclass

@@ -143,23 +143,11 @@ def cmd_witness(args):
 
 def cmd_twirl(args):
     x = serialize.read_matrix(args.matrix_file)
-    n = x.shape[0]
-    if args.family == "oo":
-        d = round(np.sqrt(n))
-        if d * d != n:
-            raise DimensionError("matrix size is not d^2")
-        out = twirl.twirl_oo(x, d)
-        pr = twirl.oo_projections(d)
-        coeffs = [float(np.real(np.trace(p @ x))) for p in (pr.P1, pr.P2,
-                                                            pr.P3)]
-    else:
-        d = round(np.sqrt(n)) if args.family == "hh" else round(n ** (1 / 3))
-        if (d * d if args.family == "hh" else d**3) != n:
-            raise DimensionError("matrix size inconsistent with family")
-        basis = twirl.std_bases(d)[args.family]
-        coeffs = [complex(z) for z in twirl.coefficients(x, basis)]
-        out = twirl.cond_expect(x, basis)
-        coeffs = [[z.real, z.imag] for z in coeffs]
+    basis = twirl.BASES[args.family](twirl.family_dim(args.family,
+                                                      x.shape[0]))
+    coeffs = [[float(z.real), float(z.imag)]
+              for z in twirl.coefficients(x, basis)]
+    out = twirl.cond_expect(x, basis)
     residual = finite(np.linalg.norm(x - out), "twirl residual")
     print(f"coefficients: {coeffs}")
     print(f"residual: {float(residual)!r}")

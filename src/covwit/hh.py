@@ -206,7 +206,7 @@ def wh_w2_identity(d, tol=DEFAULT_TOL):
         pure state, and
     (ii) the A-matrix of the w1 vertex splits as a rank-1 plus diagonal
         part with nonnegative entries."""
-    from .twirl import twirl_oo
+    from .twirl import cond_expect, oo_basis
 
     w = wh_vertices(d)
     c2 = build_psi(w[1]).choi(normalized=True)
@@ -214,7 +214,7 @@ def wh_w2_identity(d, tol=DEFAULT_TOL):
     xi[0] = 1.0 / np.sqrt(2)
     xi[1] = 1j / np.sqrt(2)
     psi = np.kron(xi, xi)
-    tw = twirl_oo(np.outer(psi, psi.conj()), d)
+    tw = cond_expect(np.outer(psi, psi.conj()), oo_basis(d))
     ok1 = np.abs(c2 - tw).max() <= 10 * tol.eq_tol
 
     j = np.ones((d, d))

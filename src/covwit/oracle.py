@@ -7,9 +7,11 @@ import time
 import numpy as np
 
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, DimensionError, classify,
-                     is_psd, partial_transpose)
-from .twirl import cond_expect, std_bases, twirl_oo
+from .linalg import (DEFAULT_TOL, ContractError, classify, is_psd,
+                     partial_transpose)
+from .twirl import BASES, cond_expect, family_dim
+
+MC_BATCH = 512  # group elements per stacked conjugation
 
 
 def rng_from(seed):
@@ -87,7 +89,7 @@ def _stack(fn, rng, d, count):
     return np.stack([fn(rng, d) for _ in range(count)])
 
 
-def haar_twirl_mc(x, family, n=10000, seed=0, d=None, batch=512):
+def haar_twirl_mc(x, family, n=10000, seed=0):
     """Empirical twirl: average of n random-group-element conjugations.
 
     family: 'hh' (signed permutations S(x)S on d^2), 'uuu' (U(x)U(x)U on
@@ -96,25 +98,13 @@ def haar_twirl_mc(x, family, n=10000, seed=0, d=None, batch=512):
     """
     x = np.asarray(x, dtype=complex)
     nn = x.shape[0]
-    if family in ("hh", "oo"):
-        if d is None:
-            d = round(np.sqrt(nn))
-        if d * d != nn:
-            raise DimensionError("matrix size is not d^2")
-    elif family in ("uuu", "uubaru"):
-        if d is None:
-            d = round(nn ** (1 / 3))
-        if d**3 != nn:
-            raise DimensionError("matrix size is not d^3")
-    else:
-        raise ContractError(f"unknown family {family!r}")
-
+    d = family_dim(family, nn)
     rng = rng_from(seed)
 
     def gens():
         left = n
         while left > 0:
-            k = min(batch, left)
+            k = min(MC_BATCH, left)
             left -= k
             if family == "hh":
                 s = _stack(random_signed_permutation, rng, d, k).astype(complex)
@@ -250,7 +240,8 @@ def selftest(seed=0, level="quick", out=print):
     def twirl_laws():
         worst = 0.0
         for d in (2, 3):
-            for name, basis in std_bases(d).items():
+            for build in BASES.values():
+                basis = build(d)
                 x = random_hermitian(rng, basis.dim)
                 p1 = cond_expect(x, basis)
                 p2 = cond_expect(p1, basis)
@@ -265,7 +256,7 @@ def selftest(seed=0, level="quick", out=print):
         n = 100000 if big else 20000
         x = random_hermitian(rng, d**3)
         emp = haar_twirl_mc(x, "uuu", n=n, seed=seed + 1)
-        exact = cond_expect(x, std_bases(d)["uuu"])
+        exact = cond_expect(x, BASES["uuu"](d))
         dev = np.abs(emp - exact).max()
         return dev < (1e-2 if big else 5e-2) * max(1.0, np.abs(x).max()), \
             f"max dev {dev:.2e} at n={n}"

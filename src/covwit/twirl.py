@@ -1,5 +1,5 @@
 """Twirling as algebra: the trace-preserving conditional expectation onto the
-span of an invariant-operator basis, plus the explicit O(x)O twirl.
+span of an invariant-operator basis, one basis per symmetry family.
 
 For a compact symmetry group, averaging conjugations over the group equals the
 Hilbert-Schmidt orthogonal projection onto the commutant span; projecting onto
@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DimensionError, NumericalError, asmatrix, check_dense,
-                     flip, identity, matrix_unit)
+from .linalg import (ContractError, DimensionError, NumericalError, asmatrix,
+                     check_dense, flip, identity)
 from .choi import max_entangled
 
 GRAM_COND_LIMIT = 1e12
@@ -38,12 +38,10 @@ class InvBasis:
     _gram: np.ndarray = field(default=None, repr=False, compare=False)
 
     def gram(self):
+        """Hilbert-Schmidt products Tr(b_i^* b_j), each one np.vdot."""
         if self._gram is None:
-            k = len(self.elements)
-            g = np.zeros((k, k), dtype=complex)
-            for i, bi in enumerate(self.elements):
-                for j, bj in enumerate(self.elements):
-                    g[i, j] = np.trace(bi.conj().T @ bj)
+            g = np.array([[np.vdot(bi, bj) for bj in self.elements]
+                          for bi in self.elements], dtype=complex)
             if np.linalg.cond(g) > GRAM_COND_LIMIT:
                 raise NumericalError(
                     f"basis '{self.name}' has ill-conditioned Gram matrix")
@@ -57,7 +55,7 @@ def coefficients(x, basis: InvBasis):
     if x.shape != (basis.dim, basis.dim):
         raise DimensionError(
             f"matrix shape {x.shape} != basis dim {basis.dim}")
-    v = np.array([np.trace(b.conj().T @ x) for b in basis.elements])
+    v = np.array([np.vdot(b, x) for b in basis.elements])
     return np.linalg.solve(basis.gram(), v)
 
 
@@ -72,11 +70,6 @@ def cond_expect(x, basis: InvBasis):
     for ci, b in zip(c, basis.elements):
         out += ci * b
     return out
-
-
-def residual(x, basis: InvBasis):
-    """Frobenius norm of x minus its projection (0 iff x is invariant)."""
-    return float(np.linalg.norm(asmatrix(x) - cond_expect(x, basis)))
 
 
 def build_V(sigma, d):
@@ -99,19 +92,28 @@ def build_T(sigma, d):
 
 
 def diag_units(d):
+    """sum_i e_ii (x) e_ii: ones at the diagonal entries (ii, ii)."""
     out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        out += np.kron(matrix_unit(i, i, d), matrix_unit(i, i, d))
+    ii = np.arange(d) * (d + 1)
+    out[ii, ii] = 1.0
     return out
+
+
+def _basis_dim(d, power):
+    """n = d**power, the side of a family's basis operators, once d >= 2 and
+    the dense size cap are checked."""
+    if d < 2:
+        raise DimensionError("d must be >= 2")
+    check_dense(d**power)
+    return d**power
 
 
 def hh_basis(d):
     """Unnormalized Choi matrices of the four basic signed-permutation
     covariant maps: depolarizing, identity, transpose, diagonal pinching."""
-    if d < 2:
-        raise DimensionError("d must be >= 2")
-    return InvBasis("hh", d * d, [
-        identity(d * d) / d,
+    n = _basis_dim(d, 2)
+    return InvBasis("hh", n, [
+        identity(n) / d,
         d * max_entangled(d),
         flip(d),
         diag_units(d),
@@ -122,10 +124,9 @@ def uuu_basis(d):
     """The permutation operators V_sigma; 6 elements for d >= 3, 5 for d = 2
     (one is dropped because of the linear relation
     V_e - V_12 - V_13 - V_23 + V_123 + V_132 = 0)."""
-    if d < 2:
-        raise DimensionError("d must be >= 2")
+    n = _basis_dim(d, 3)
     perms = PERMS if d >= 3 else PERMS[:5]
-    return InvBasis("uuu", d**3, [build_V(s, d) for s in perms])
+    return InvBasis("uuu", n, [build_V(s, d) for s in perms])
 
 
 def uubaru_basis(d):
@@ -133,45 +134,34 @@ def uubaru_basis(d):
     transposition is a linear bijection, so the T_sigma inherit exactly the
     dependence structure of the V_sigma: independent for d >= 3, one
     relation at d = 2 (drop T_132)."""
-    if d < 2:
-        raise DimensionError("d must be >= 2")
+    n = _basis_dim(d, 3)
     perms = PERMS if d >= 3 else PERMS[:5]
-    return InvBasis("uubaru", d**3, [build_T(s, d) for s in perms])
+    return InvBasis("uubaru", n, [build_T(s, d) for s in perms])
 
 
-def std_bases(d):
-    return {"hh": hh_basis(d), "uuu": uuu_basis(d), "uubaru": uubaru_basis(d)}
-
-
-@dataclass
-class OOProjections:
-    """The three spectral projectors of the O(x)O commutant."""
-
-    d: int
-    P1: np.ndarray
-    P2: np.ndarray
-    P3: np.ndarray
-
-    @property
-    def ranks(self):
-        d = self.d
-        return (1, d * (d + 1) // 2 - 1, d * (d - 1) // 2)
-
-
-def oo_projections(d):
+def oo_basis(d):
+    """The three spectral projectors of the O(x)O commutant: Omega,
+    (I + F)/2 - Omega and (I - F)/2.  They are mutually orthogonal, so the
+    Gram matrix is diag(1, d(d+1)/2 - 1, d(d-1)/2), their ranks, and
+    cond_expect is the O(x)O twirl sum_i Tr(P_i x) P_i / rank(P_i)."""
+    n = _basis_dim(d, 2)
     omega = max_entangled(d)
     f = flip(d)
-    eye = identity(d * d)
-    return OOProjections(d, omega, (eye + f) / 2 - omega, (eye - f) / 2)
+    eye = identity(n)
+    return InvBasis("oo", n, [omega, (eye + f) / 2 - omega, (eye - f) / 2])
 
 
-def twirl_oo(x, d):
-    """O(x)O twirl: sum_i Tr(P_i x) P_i / rank(P_i)."""
-    x = asmatrix(x)
-    if x.shape != (d * d, d * d):
-        raise DimensionError(f"matrix shape {x.shape} != ({d*d},{d*d})")
-    pr = oo_projections(d)
-    out = np.zeros_like(x)
-    for p, r in zip((pr.P1, pr.P2, pr.P3), pr.ranks):
-        out += (np.trace(p @ x) / r) * p
-    return out
+BASES = {"hh": hh_basis, "uuu": uuu_basis, "uubaru": uubaru_basis,
+         "oo": oo_basis}
+
+
+def family_dim(family, n):
+    """The local dimension d of an n x n operator of the family: n = d^2
+    for hh and oo, n = d^3 for uuu and uubaru."""
+    if family not in BASES:
+        raise ContractError(f"unknown family {family!r}")
+    k = 2 if family in ("hh", "oo") else 3
+    d = round(n ** (1 / k))
+    if d**k != n:
+        raise DimensionError(f"matrix size {n} is not d^{k} for {family}")
+    return d

@@ -9,6 +9,7 @@ C (+) C (+) M_2(C) block decomposition of the invariant algebra.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +185,8 @@ def witness_L0(d) -> S3Coeffs:
     return ex.scale_by(1.0 / ex.a_e)
 
 
-def rho_t(d, t):
-    """A-BC PPT entangled invariant state family; returns (coeffs, matrix)."""
+def rho_t_coeffs(d, t) -> S3Coeffs:
+    """The coefficients of rho_t, without its dense matrix."""
     if d < 3:
         raise DimensionError("d must be >= 3")
     if t <= 0:
@@ -194,29 +195,25 @@ def rho_t(d, t):
     if not np.isfinite(norm):
         raise ContractError(f"rho_t normalizer overflows at t = {t}")
     pf = 1.0 / norm
-    c = S3Coeffs(d, pf * (d + t) / d, 0.0, pf, 0.0, complex(pf * t / d, 0.0))
+    return S3Coeffs(d, pf * (d + t) / d, 0.0, pf, 0.0,
+                    complex(pf * t / d, 0.0))
+
+
+def rho_t(d, t):
+    """A-BC PPT entangled invariant state family; returns (coeffs, matrix)."""
+    c = rho_t_coeffs(d, t)
     return c, invariant_matrix(c)
 
 
-def t_max(d=3, tol_t=1e-4, t_hi=64.0):
-    """Largest t (up to tol_t) for which rho_t stays A-BC PPT, by bisection."""
-    def ppt_at(t):
-        return ppt_w3(rho_t(d, t)[0])["A-BC"]
-
-    lo, hi = 1e-9, 1.0
-    if not ppt_at(lo):
-        raise ContractError("rho_t is not A-BC PPT even for tiny t")
-    while ppt_at(hi):
-        hi *= 2.0
-        if hi > t_hi:
-            return hi
-    while hi - lo > tol_t:
-        mid = (lo + hi) / 2
-        if ppt_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def t_max(d=3):
+    """Largest t for which rho_t stays A-BC PPT.  In G_iso(rho_t), s1, s2
+    and the block's (0, 0) entry are positive, so the block decides: its
+    determinant is proportional to d^2 (d + 1) + d (d + 4) t - (d^2 - 4) t^2,
+    and the edge is the larger root of that quadratic."""
+    if d < 3:
+        raise DimensionError("d must be >= 3")
+    a, b, c = d * d - 4, d * (d + 4), d * d * (d + 1)
+    return (b + math.sqrt(b * b + 4 * a * c)) / (2 * a)
 
 
 def _witness_coeff_grid(d, grid):

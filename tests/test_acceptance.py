@@ -13,9 +13,9 @@ import pytest
 
 from covwit import hh, oracle, quo, werner3
 from covwit.choi import max_entangled
-from covwit.linalg import flip, identity, is_psd, partial_transpose
-from covwit.twirl import (PERMS, build_T, cond_expect, diag_units,
-                          oo_projections, std_bases, twirl_oo, uubaru_basis)
+from covwit.linalg import flip, identity, partial_transpose
+from covwit.twirl import (BASES, PERMS, build_T, cond_expect, diag_units,
+                          oo_basis, uubaru_basis)
 
 
 def batched_min_eig(mats, chunk=4096):
@@ -278,9 +278,9 @@ def test_criterion_07_rho_t_certificate():
 
 
 def test_criterion_08_t_max_bound():
-    """The bisection threshold for A-BC PPT of rho_t at d=3 (tolerance 1e-4)
-    is at least the dimension-uniform bound 3.89."""
-    assert werner3.t_max(3, tol_t=1e-4) >= 3.89
+    """The threshold for A-BC PPT of rho_t at d=3 is at least the
+    dimension-uniform bound 3.89."""
+    assert werner3.t_max(3) >= 3.89
 
 
 def test_criterion_09_quo_extremals_and_ppt_states():
@@ -380,9 +380,9 @@ def test_criterion_10_oo_identities(d):
     xi[0] = 1 / np.sqrt(2)
     xi[1] = 1j / np.sqrt(2)
     psi = np.kron(xi, xi)
-    tw = twirl_oo(np.outer(psi, psi.conj()), d)
-    pr = oo_projections(d)
-    assert np.abs(tw - pr.P2 / pr.ranks[1]).max() <= 1e-12
+    tw = cond_expect(np.outer(psi, psi.conj()), oo_basis(d))
+    p2 = oo_basis(d).elements[1]
+    assert np.abs(tw - p2 / (d * (d + 1) // 2 - 1)).max() <= 1e-12
     choi2 = hh.build_psi(hh.wh_vertices(d)[1]).choi(normalized=True)
     assert np.abs(choi2 - tw).max() <= 1e-12
     ones = np.ones(d)
@@ -393,11 +393,12 @@ def test_criterion_10_oo_identities(d):
 
 def test_criterion_11_twirl_laws_and_mc():
     """Idempotence, trace preservation, Hermiticity preservation within
-    1e-10 for every standard basis; Monte Carlo Haar twirl within 1e-2 of
+    1e-10 for every family basis; Monte Carlo Haar twirl within 1e-2 of
     the conditional expectation at n = 100,000 (d=3)."""
     rng = np.random.default_rng(1100)
     for d in (2, 3):
-        for name, basis in std_bases(d).items():
+        for name, build in BASES.items():
+            basis = build(d)
             x = oracle.random_hermitian(rng, basis.dim)
             p1 = cond_expect(x, basis)
             assert np.abs(p1 - cond_expect(p1, basis)).max() <= 1e-10, name
@@ -405,7 +406,7 @@ def test_criterion_11_twirl_laws_and_mc():
             assert np.abs(p1 - p1.conj().T).max() <= 1e-10, name
     d = 3
     x = oracle.random_hermitian(rng, d**3)
-    exact = cond_expect(x, std_bases(d)["uuu"])
+    exact = cond_expect(x, BASES["uuu"](d))
     emp = oracle.haar_twirl_mc(x, "uuu", n=100000, seed=11)
     assert np.abs(emp - exact).max() <= 1e-2 * max(1.0, np.abs(x).max())
 

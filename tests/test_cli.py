@@ -93,7 +93,8 @@ def test_witness_apply(tmp_path, capsys):
 
 
 def test_twirl_oo_product_state(tmp_path, capsys):
-    """xi (x) xi with xi = (|1> + i|2>)/sqrt(2) twirls to P2 / rank(P2)."""
+    """xi (x) xi with xi = (|1> + i|2>)/sqrt(2) twirls to P2 / rank(P2), so
+    its coefficients over (P1, P2, P3) are (0, 1/rank(P2), 0)."""
     d = 3
     xi = np.zeros(d, dtype=complex)
     xi[0] = 1 / np.sqrt(2)
@@ -104,10 +105,50 @@ def test_twirl_oo_product_state(tmp_path, capsys):
     serialize.write_matrix(np.outer(psi, psi.conj()), mfile)
     assert run(["twirl", "--family", "oo", "--matrix-file", str(mfile),
                 "--out", str(ofile)]) == 0
-    from covwit.twirl import oo_projections
-    pr = oo_projections(d)
+    from covwit.twirl import oo_basis
+    p2 = oo_basis(d).elements[1]
     got = serialize.read_matrix(ofile)
-    assert np.abs(got - pr.P2 / pr.ranks[1]).max() < 1e-12
+    assert np.abs(got - p2 / 5).max() < 1e-12
+    line = capsys.readouterr().out.splitlines()[0]
+    coeffs = json.loads(line.removeprefix("coefficients: "))
+    assert np.abs(np.array(coeffs) - [[0, 0], [0.2, 0], [0, 0]]).max() < 1e-12
+
+
+def test_twirl_hh_needs_no_d_cubed_build(tmp_path):
+    """An hh twirl at d = 17 builds 289 x 289 operators only; a 4913 x 4913
+    uuu build would be past the size cap."""
+    rng = np.random.default_rng(17)
+    mfile = tmp_path / "m.json"
+    ofile = tmp_path / "o.json"
+    x = rng.standard_normal((289, 289))
+    serialize.write_matrix(x, mfile)
+    assert run(["twirl", "--family", "hh", "--matrix-file", str(mfile),
+                "--out", str(ofile)]) == 0
+    from covwit.twirl import cond_expect, hh_basis
+    got = serialize.read_matrix(ofile)
+    assert np.abs(got - cond_expect(x, hh_basis(17))).max() < 1e-12
+
+
+@pytest.mark.parametrize("family", ["hh", "oo"])
+def test_twirl_on_d_squared_builds_no_V(tmp_path, monkeypatch, family):
+    from covwit import twirl
+
+    def refuse(sigma, d):
+        raise AssertionError("build_V called")
+
+    monkeypatch.setattr(twirl, "build_V", refuse)
+    mfile = tmp_path / "m.json"
+    serialize.write_matrix(np.eye(9), mfile)
+    assert run(["twirl", "--family", family, "--matrix-file",
+                str(mfile)]) == 0
+
+
+@pytest.mark.parametrize("family", ["hh", "uuu", "uubaru", "oo"])
+def test_twirl_of_a_1x1_matrix_is_an_input_error(tmp_path, capsys, family):
+    mfile = tmp_path / "m.json"
+    serialize.write_matrix(np.eye(1), mfile)
+    _one_line_error(capsys, ["twirl", "--family", family, "--matrix-file",
+                             str(mfile)])
 
 
 def test_regions_vertices(capsys):

@@ -1,0 +1,35 @@
+"""Every module under src/covwit, tests and demos uses each name it
+imports."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIRS = ("src/covwit", "tests", "demos")
+
+
+def unused_imports(path):
+    """Names bound by an import in path and never read there; a name
+    listed in __all__ counts as read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {e.value for e in node.value.elts
+                     if isinstance(e, ast.Constant)}
+    return [(line, name) for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for d in DIRS for path in sorted((ROOT / d).rglob("*.py"))
+             for line, name in unused_imports(path)]
+    assert not found, "unused imports:\n" + "\n".join(found)

@@ -10,7 +10,7 @@ from covwit.oracle import (brute_positive_orbit, brute_positive_sample,
                            haar_twirl_mc, random_hermitian, random_orthogonal,
                            random_pure_state, random_signed_permutation,
                            random_unitary, rng_from, selftest)
-from covwit.twirl import cond_expect, std_bases, twirl_oo
+from covwit.twirl import BASES, cond_expect
 
 
 def test_sampler_shapes_and_group_membership():
@@ -61,7 +61,7 @@ def test_mc_twirl_matches_cond_expect():
     rng = rng_from(2)
     d = 3
     x = random_hermitian(rng, d**3)
-    exact = cond_expect(x, std_bases(d)["uuu"])
+    exact = cond_expect(x, BASES["uuu"](d))
     emp = haar_twirl_mc(x, "uuu", n=20000, seed=0)
     assert np.abs(emp - exact).max() < 5e-2 * max(1.0, np.abs(x).max())
 
@@ -70,12 +70,12 @@ def test_mc_twirl_uubaru_and_oo():
     rng = rng_from(3)
     d = 2
     x = random_hermitian(rng, d**3)
-    exact = cond_expect(x, std_bases(d)["uubaru"])
+    exact = cond_expect(x, BASES["uubaru"](d))
     emp = haar_twirl_mc(x, "uubaru", n=20000, seed=1)
     assert np.abs(emp - exact).max() < 5e-2 * max(1.0, np.abs(x).max())
 
     y = random_hermitian(rng, 9)
-    exact_oo = twirl_oo(y, 3)
+    exact_oo = cond_expect(y, BASES["oo"](3))
     emp_oo = haar_twirl_mc(y, "oo", n=20000, seed=2)
     assert np.abs(emp_oo - exact_oo).max() < 5e-2 * max(1.0, np.abs(y).max())
 
@@ -86,7 +86,7 @@ def test_mc_twirl_hh_exact_projection_limit():
     rng = rng_from(4)
     d = 3
     x = random_hermitian(rng, d * d)
-    exact = cond_expect(x, std_bases(d)["hh"])
+    exact = cond_expect(x, BASES["hh"](d))
     emp = haar_twirl_mc(x, "hh", n=40000, seed=3)
     assert np.abs(emp - exact).max() < 5e-2 * max(1.0, np.abs(x).max())
 
@@ -95,7 +95,7 @@ def test_mc_twirl_error_decreases_with_n():
     rng = rng_from(6)
     d = 3
     x = random_hermitian(rng, d**3)
-    exact = cond_expect(x, std_bases(d)["uuu"])
+    exact = cond_expect(x, BASES["uuu"](d))
     errs_small, errs_big = [], []
     for k in range(20):
         errs_small.append(np.abs(

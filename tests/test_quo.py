@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from covwit import quo, werner3
+from covwit import quo
 from covwit.linalg import (ContractError, DimensionError, is_psd,
                            partial_transpose)
 from covwit.oracle import brute_positive_orbit

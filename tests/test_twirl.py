@@ -1,16 +1,16 @@
-"""Conditional expectations onto invariant-operator spans and the O(x)O
-twirl."""
+"""Conditional expectations onto invariant-operator spans, one basis per
+family, the O(x)O twirl among them."""
 
 import numpy as np
 import pytest
 
-from covwit.linalg import NumericalError, identity
+from covwit.linalg import (ContractError, DimensionError, NumericalError,
+                           identity)
 from covwit.oracle import (random_orthogonal, random_signed_permutation,
                            random_unitary)
-from covwit.twirl import (PERM_IMAGES, PERMS, InvBasis, build_T, build_V,
-                          coefficients, cond_expect, hh_basis, oo_projections,
-                          residual, std_bases, twirl_oo, uubaru_basis,
-                          uuu_basis)
+from covwit.twirl import (BASES, PERM_IMAGES, PERMS, InvBasis, build_T,
+                          build_V, coefficients, cond_expect, family_dim,
+                          hh_basis, oo_basis, uubaru_basis, uuu_basis)
 
 
 def random_hermitian(rng, n):
@@ -71,9 +71,10 @@ def test_basis_ranks():
 @pytest.mark.parametrize("d", [2, 3])
 def test_projector_laws(d):
     """Idempotence, trace preservation, Hermiticity preservation, and fixing
-    of basis elements, for every standard basis."""
+    of basis elements, for every family basis."""
     rng = np.random.default_rng(d)
-    for name, basis in std_bases(d).items():
+    for name, build in BASES.items():
+        basis = build(d)
         x = random_hermitian(rng, basis.dim)
         p1 = cond_expect(x, basis)
         p2 = cond_expect(p1, basis)
@@ -82,7 +83,7 @@ def test_projector_laws(d):
         assert np.abs(p1 - p1.conj().T).max() < 1e-10, name
         for b in basis.elements:
             assert np.abs(cond_expect(b, basis) - b).max() < 1e-10, name
-            assert residual(b, basis) < 1e-10, name
+            assert np.linalg.norm(b - cond_expect(b, basis)) < 1e-10, name
 
 
 def test_projection_is_orthogonal():
@@ -100,7 +101,7 @@ def test_commutes_with_group_conjugation():
     rng = np.random.default_rng(12)
     d = 3
     x = random_hermitian(rng, d**3)
-    bases = std_bases(d)
+    bases = {name: build(d) for name, build in BASES.items()}
     ex_uuu = cond_expect(x, bases["uuu"])
     ex_uub = cond_expect(x, bases["uubaru"])
     for _ in range(20):
@@ -139,10 +140,10 @@ def test_gram_condition_guard():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_oo_projections(d):
-    pr = oo_projections(d)
-    ps = (pr.P1, pr.P2, pr.P3)
+    ps = oo_basis(d).elements
+    ranks = (1, d * (d + 1) // 2 - 1, d * (d - 1) // 2)
     acc = np.zeros((d * d, d * d), dtype=complex)
-    for p, r in zip(ps, pr.ranks):
+    for p, r in zip(ps, ranks):
         assert np.abs(p @ p - p).max() < 1e-12          # idempotent
         assert np.abs(p - p.conj().T).max() < 1e-12     # Hermitian
         assert np.isclose(np.trace(p).real, r)          # rank from trace
@@ -151,14 +152,15 @@ def test_oo_projections(d):
     for i in range(3):
         for j in range(i + 1, 3):
             assert np.abs(ps[i] @ ps[j]).max() < 1e-12  # orthogonal
+    assert np.abs(oo_basis(d).gram() - np.diag(ranks)).max() < 1e-12
 
 
 def test_twirl_oo_agrees_with_haar_average():
-    """twirl_oo equals the empirical O (x) O conjugation average."""
+    """The oo projection equals the empirical O (x) O conjugation average."""
     rng = np.random.default_rng(13)
     d = 3
     x = random_hermitian(rng, d * d)
-    tw = twirl_oo(x, d)
+    tw = cond_expect(x, oo_basis(d))
     acc = np.zeros_like(x)
     n = 20000
     for _ in range(n):
@@ -170,6 +172,37 @@ def test_twirl_oo_agrees_with_haar_average():
 
 def test_twirl_oo_fixes_invariants():
     d = 4
-    pr = oo_projections(d)
-    for p, r in zip((pr.P1, pr.P2, pr.P3), pr.ranks):
-        assert np.abs(twirl_oo(p, d) - p).max() < 1e-12
+    basis = oo_basis(d)
+    for p in basis.elements:
+        assert np.abs(cond_expect(p, basis) - p).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("family", list(BASES))
+def test_cond_expect_matches_brute_force_projection(family, d):
+    """The Gram solve agrees with a least-squares projection of vec(x) onto
+    the span of the vectorized basis elements, on a random complex x."""
+    rng = np.random.default_rng(d)
+    basis = BASES[family](d)
+    n = basis.dim
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = np.stack([b.ravel() for b in basis.elements], axis=1)
+    c, *_ = np.linalg.lstsq(m, x.ravel(), rcond=None)
+    brute = (m @ c).reshape(n, n)
+    got = cond_expect(x, basis)
+    assert np.abs(got - brute).max() <= 1e-12 * np.abs(x).max()
+    assert np.abs(coefficients(x, basis) - c).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_family_dim():
+    for family, n, d in (("hh", 9, 3), ("oo", 289, 17), ("uuu", 27, 3),
+                         ("uubaru", 4913, 17), ("oo", 1, 1)):
+        assert family_dim(family, n) == d
+    for family, n in (("hh", 8), ("oo", 27), ("uuu", 9), ("uubaru", 26)):
+        with pytest.raises(DimensionError):
+            family_dim(family, n)
+    with pytest.raises(ContractError):
+        family_dim("nope", 9)
+    for build in BASES.values():
+        with pytest.raises(DimensionError, match="d must be >= 2"):
+            build(1)

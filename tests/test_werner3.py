@@ -207,9 +207,23 @@ def test_rho_t_npt_beyond_threshold():
 def test_t_max_value():
     """The A-BC PPT threshold at d=3 is (21 + sqrt(1161))/10, comfortably
     above the dimension-uniform bound 3.89."""
-    tm = w3.t_max(3, tol_t=1e-4)
+    tm = w3.t_max(3)
     assert tm >= 3.89
-    assert abs(tm - (21 + np.sqrt(1161)) / 10) < 1e-3
+    assert abs(tm - (21 + np.sqrt(1161)) / 10) < 1e-12
+    assert abs(w3.t_max(4) - (32 + np.sqrt(4864)) / 24) < 1e-12
+    assert w3.t_max(8) == 4.0
+
+
+@pytest.mark.parametrize("d", range(3, 21))
+def test_t_max_is_the_g_iso_edge(d):
+    """The A-BC margin of rho_t changes sign across t_max(d), also where
+    rho_t's dense matrix is past the size cap (d >= 17)."""
+    tm = w3.t_max(d)
+
+    def margin(t):
+        return w3.G_iso(w3.rho_t_coeffs(d, t)).min_margin()
+
+    assert margin(tm * (1 - 1e-9)) > 0 > margin(tm * (1 + 1e-9))
 
 
 def test_detect_rejects_non_state():
