@@ -69,12 +69,13 @@ def cmd_certify(args):
 
 
 def cmd_state(args):
-    c, rho = werner3.rho_t(args.d, parse_number(args.t))
+    c = werner3.rho_t_coeffs(args.d, parse_number(args.t))
     if args.out:
+        rho = werner3.invariant_matrix(c)
         serialize.write_matrix(rho, args.out)
     print(f"rho_t  d={args.d}  t={args.t}")
     print(f"coeffs: a_e={c.a_e!r} a_12={c.a_12!r} a_13={c.a_13!r} "
-          f"a_23={c.a_23!r} a_123={complex(c.a_123)!r}")
+          f"a_23={c.a_23!r} a_123={c.a_123!r}")
     print(f"trace: {werner3.trace_w3(c)!r}")
     if args.out:
         print(f"wrote {rho.shape[0]}x{rho.shape[1]} matrix to {args.out}")

@@ -16,14 +16,14 @@ from .certificate import Certificate
 from .choi import LinMap
 from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
                      UnsupportedDimensionError, band, check_dense, classify,
-                     identity, is_number, is_psd)
+                     finite_number, identity, is_psd)
 
 CONSTRAINT_TAGS = (1, 2, 3, 4, 5, 6)
 
 
 @dataclass(frozen=True)
 class HHCoeffs:
-    """Coefficients (a, b, c) of psi_{a,b,c}; the psi3 weight is 1-a-b-c."""
+    """Coefficients (a, b, c) of psi_{a,b,c} as floats; psi3 weighs 1-a-b-c."""
 
     d: int
     a: float
@@ -33,9 +33,9 @@ class HHCoeffs:
     def __post_init__(self):
         if self.d < 2:
             raise DimensionError("d must be >= 2")
-        if not all(is_number(v) and np.isfinite(v)
-                   for v in (self.a, self.b, self.c)):
-            raise ContractError("coefficients must be finite numbers")
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name,
+                               finite_number(getattr(self, name), name))
 
     def scale(self):
         """The boundary-rule scale: the largest of |a|, |b|, |c|."""
@@ -271,8 +271,10 @@ def decide(co: HHCoeffs, tol=DEFAULT_TOL) -> Certificate:
     cert = Certificate("hh", co.d, {"a": co.a, "b": co.b, "c": co.c},
                        tolerances=asdict(tol))
     s = co.scale()
-    pos = min(positivity_margins(co).values())
-    _, tag = is_positive(co, tol)
+    margins = positivity_margins(co)
+    pos = min(margins.values())
+    tag = next((t for t, m in margins.items()
+                if classify(m, s, tol) == "false"), None)
     cert.add_check("positive", classify(pos, s, tol), margin=pos,
                    **({} if tag is None else {"tag": tag}))
     cp = min(cptp_margins(co))

@@ -8,6 +8,7 @@ times max(1, s)^k, and reads "false" below -band, "boundary" within it and
 "true" above it.  "boundary" counts as passing.
 """
 
+import cmath
 import numbers
 from dataclasses import dataclass
 
@@ -64,6 +65,20 @@ def is_number(v):
     return isinstance(v, numbers.Number) and not isinstance(v, bool)
 
 
+def finite_number(v, what, real=True):
+    """The coefficient rule: v as a float (a complex if not real) if it is
+    a finite number, numpy's and Fraction included, bool not, with zero
+    imaginary part if real; else ContractError."""
+    try:
+        z = complex(v) if is_number(v) else None
+    except (TypeError, ValueError, OverflowError):
+        z = None
+    if z is None or not cmath.isfinite(z) or (real and z.imag != 0):
+        raise ContractError(f"{what} must be a finite "
+                            f"{'real ' if real else ''}number, got {v!r}")
+    return z.real if real else z
+
+
 def asmatrix(x):
     """Coerce to a 2-d complex128 array and reject non-finite entries."""
     m = np.asarray(x, dtype=complex)
@@ -76,13 +91,6 @@ def asmatrix(x):
 
 def identity(d):
     return np.eye(d, dtype=complex)
-
-
-def matrix_unit(i, j, d):
-    """e_ij, the d x d matrix unit (0-indexed)."""
-    m = np.zeros((d, d), dtype=complex)
-    m[i, j] = 1.0
-    return m
 
 
 def flip(d):

@@ -9,8 +9,6 @@ d = 2 the T_sigma obey one linear relation; the block forms leave out the one
 summand it touches, and only positivity folds it in, through reduce_d2.
 """
 
-import numpy as np
-
 from . import s3, werner3
 from .certificate import Certificate
 from .choi import LinMap
@@ -31,7 +29,7 @@ class QuoCoeffs(s3.Coeffs):
             return super().scale()
         ae = self.a_e
         return max(abs(self.a_12 + ae), abs(self.a_13 + ae),
-                   abs(self.a_23 + ae), abs(complex(self.a_123) - ae))
+                   abs(self.a_23 + ae), abs(self.a_123 - ae))
 
 
 def reduce_d2(c: QuoCoeffs) -> QuoCoeffs:
@@ -40,7 +38,7 @@ def reduce_d2(c: QuoCoeffs) -> QuoCoeffs:
     if c.d != 2:
         return c
     return QuoCoeffs(2, 0.0, c.a_12 + c.a_e, c.a_13 + c.a_e,
-                     c.a_23 + c.a_e, complex(c.a_123) - c.a_e)
+                     c.a_23 + c.a_e, c.a_123 - c.a_e)
 
 
 def build_M(sigma, d) -> LinMap:
@@ -62,14 +60,12 @@ def invariant_matrix(c: QuoCoeffs):
 def positivity_margins_quo(c: QuoCoeffs):
     """Slacks of the closed-form positivity inequalities for M = sum a M_sigma
     (equivalently PSD-ness of M(e_11))."""
-    q = complex(c.a_123)
     if c.d == 2:
         b = reduce_d2(c)
-        qb = complex(b.a_123)
         s1 = b.a_12 + b.a_13 + b.a_23 + 2 * b.r
         return (
             b.a_12, b.a_13, b.a_23, s1,
-            s1 * b.a_23 - abs(b.a_23 + qb) ** 2,
+            s1 * b.a_23 - abs(b.a_23 + b.a_123) ** 2,
         )
     d = c.d
     ae, a12, a13, a23, r = c.a_e, c.a_12, c.a_13, c.a_23, c.r
@@ -77,7 +73,7 @@ def positivity_margins_quo(c: QuoCoeffs):
     s2 = ae + (d - 1) * a23
     return (
         ae, ae + a12, ae + a13, s1, s2,
-        s1 * s2 - (d - 1) * abs(a23 + q) ** 2,
+        s1 * s2 - (d - 1) * abs(a23 + c.a_123) ** 2,
     )
 
 
@@ -121,31 +117,23 @@ trace_quo = QuoCoeffs.trace
 def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1,
                  d=3) -> s3.Extremal:
     """Extremal trace-preserving positive covariant map; Types I-IV for
-    d >= 3, Types I'/II' for d = 2."""
+    d >= 3, Types I'/II' for d = 2, where they take the tuples of III/IV."""
     if type_name in ("III", "IV", "I'", "II'"):
         s3.check_params(A, B, C)
     sgn, ss = s3.signed_root(A, B, C, sign)
 
-    if d >= 3:
-        if type_name == "I":
-            tup = (d - 1.0, -1.0, 1.0 - d, -1.0, 1.0, 0.0)
-        elif type_name == "II":
-            tup = (d - 1.0, 1.0 - d, -1.0, -1.0, 1.0, 0.0)
-        elif type_name == "III":
-            tup = (0.0, A + B - 2 * C, 0.0, B, C - B, ss)
-        elif type_name == "IV":
-            tup = (0.0, 0.0, A + B - 2 * C, B, C - B, ss)
-        else:
-            raise ContractError(
-                f"unknown extremal type {type_name!r} for d >= 3")
+    if type_name not in (("I", "II", "III", "IV") if d >= 3
+                         else ("I'", "II'")):
+        raise ContractError(f"unknown extremal type {type_name!r} for "
+                            + ("d >= 3" if d >= 3 else "d = 2"))
+    if type_name == "I":
+        tup = (d - 1.0, -1.0, 1.0 - d, -1.0, 1.0, 0.0)
+    elif type_name == "II":
+        tup = (d - 1.0, 1.0 - d, -1.0, -1.0, 1.0, 0.0)
+    elif type_name in ("III", "I'"):
+        tup = (0.0, A + B - 2 * C, 0.0, B, C - B, ss)
     else:
-        if type_name == "I'":
-            tup = (0.0, A + B - 2 * C, 0.0, B, C - B, ss)
-        elif type_name == "II'":
-            tup = (0.0, 0.0, A + B - 2 * C, B, C - B, ss)
-        else:
-            raise ContractError(
-                f"unknown extremal type {type_name!r} for d = 2")
+        tup = (0.0, 0.0, A + B - 2 * C, B, C - B, ss)
     return s3.extremal(QuoCoeffs, d, type_name, (A, B, C), sgn, tup,
                        is_positive_quo)
 
@@ -184,7 +172,7 @@ def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL) -> Certificate:
 
     rows = _witness_rows(c.d, grid)
     mins, _ = s3.witness_sweep(cert, c, rows, tol)
-    worst = int(np.argmin(mins))
+    worst = int(mins.argmin())
     cert.witnesses.append({"id": rows[worst][0],
                            "min_eig": float(mins[worst])})
     cert.verdict = "ENTANGLED" if ppt["A-BC"] == "false" else "SEPARABLE"

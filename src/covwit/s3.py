@@ -9,13 +9,14 @@ closed forms and verdict rules) stays in werner3.py and quo.py and is passed
 in, looked up in the family module at call time.
 """
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .certificate import Certificate
 from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                     check_dense, classify, is_number)
+                     check_dense, classify, finite_number)
 from .twirl import PERMS
 
 TP_TOL = 1e-12
@@ -31,9 +32,9 @@ CYCLES = np.array([[3, 2, 2, 2, 1, 1], [2, 3, 1, 1, 2, 2],
 @dataclass(frozen=True)
 class Coeffs:
     """Coefficients over a six-operator S3-indexed basis with the Hermitian
-    reality pattern: a_e, a_12, a_13, a_23 real, a_132 = conj(a_123) (never
-    stored).  Subclasses set MIN_D, the least d at which the family's
-    coefficients are valid."""
+    reality pattern: a_e, a_12, a_13, a_23 real (stored as float), a_123
+    complex, a_132 = conj(a_123) (never stored).  Subclasses set MIN_D,
+    the least d at which the family's coefficients are valid."""
 
     d: int
     a_e: float
@@ -45,34 +46,32 @@ class Coeffs:
     def __post_init__(self):
         if self.d < self.MIN_D:
             raise DimensionError(f"d must be >= {self.MIN_D}")
-        vals = (self.a_e, self.a_12, self.a_13, self.a_23)
-        if not all(is_number(v) and np.isfinite(v) and np.imag(v) == 0
-                   for v in vals):
-            raise ContractError("a_e, a_12, a_13, a_23 must be finite reals")
-        if not (is_number(self.a_123) and np.isfinite(complex(self.a_123))):
-            raise ContractError("a_123 must be a finite number")
+        for name in ("a_e", "a_12", "a_13", "a_23"):
+            object.__setattr__(self, name,
+                               finite_number(getattr(self, name), name))
+        object.__setattr__(self, "a_123",
+                           finite_number(self.a_123, "a_123", real=False))
 
     @classmethod
     def from_tuple6(cls, d, v):
         """From (a_e, a_12, a_13, a_23, re a_123, im a_123)."""
-        if not all(is_number(x) and np.imag(x) == 0 for x in v[4:6]):
-            raise ContractError("re_123 and im_123 must be real numbers")
-        return cls(d, v[0], v[1], v[2], v[3], complex(v[4], v[5]))
+        return cls(d, *v[:4], complex(finite_number(v[4], "re_123"),
+                                      finite_number(v[5], "im_123")))
 
     @property
     def r(self):
-        return complex(self.a_123).real
+        return self.a_123.real
 
     @property
     def s(self):
-        return complex(self.a_123).imag
+        return self.a_123.imag
 
     def as_tuple6(self):
         return (self.a_e, self.a_12, self.a_13, self.a_23, self.r, self.s)
 
     def vector(self):
         """Length-6 complex coefficient vector ordered as PERMS."""
-        q = complex(self.a_123)
+        q = self.a_123
         return np.array([self.a_e, self.a_12, self.a_13, self.a_23,
                          q, q.conjugate()])
 
@@ -83,7 +82,7 @@ class Coeffs:
 
     def scale_by(self, f):
         return type(self)(self.d, f * self.a_e, f * self.a_12, f * self.a_13,
-                          f * self.a_23, f * complex(self.a_123))
+                          f * self.a_23, f * self.a_123)
 
     def trace(self):
         """Trace of sum_sigma a_sigma X_sigma on (C^d)^3; the same for the
@@ -112,7 +111,7 @@ def check_params(A, B, C):
 def signed_root(A, B, C, sign):
     """(sign as +-1, that sign times sqrt(AB - C^2))."""
     sgn = 1 if sign >= 0 else -1
-    return sgn, sgn * np.sqrt(max(A * B - C * C, 0.0))
+    return sgn, sgn * math.sqrt(max(A * B - C * C, 0.0))
 
 
 def extremal(cls, d, type_name, params, sign, tup, is_positive):

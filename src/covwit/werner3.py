@@ -4,15 +4,13 @@ covariant maps L_sigma indexed by S3 permutations.
 An invariant operator is X = sum_sigma a_sigma V_sigma over the six
 permutation operators; the dual maps L_sigma have unnormalized Choi matrix
 V_sigma.  Positivity, CP, and CCP of coefficient combinations reduce to
-scalar inequalities and PSD-ness of a single 2x2 block via the
-C (+) C (+) M_2(C) block decomposition of the invariant algebra.
+scalar inequalities and the closed-form spectrum of a single 2x2 block via
+the C (+) C (+) M_2(C) block decomposition of the invariant algebra.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import s3
 from .certificate import Certificate
@@ -33,24 +31,28 @@ class S3Coeffs(s3.Coeffs):
 @dataclass(frozen=True)
 class Table2Block:
     """Image of an invariant operator in the C (+) C (+) M_2(C) picture:
-    the operator's spectrum is s1, s2 and the block's two eigenvalues.  s2
-    is None where its summand has dimension 0 (d = 2)."""
+    the operator's spectrum is s1, s2 and the two eigenvalues of the
+    Hermitian block [[b00, b01], [conj(b01), b11]].  s2 is None where its
+    summand has dimension 0 (d = 2)."""
 
     s1: float
     s2: float | None
-    block: np.ndarray
+    b00: float
+    b11: float
+    b01: complex
 
     def min_margin(self):
-        """The least eigenvalue of the operator."""
-        ev = np.linalg.eigvalsh((self.block + self.block.conj().T) / 2)
-        return min(v for v in (self.s1, self.s2, float(ev[0]))
-                   if v is not None)
+        """The least eigenvalue of the operator; the block's is
+        (b00 + b11)/2 - hypot((b00 - b11)/2, |b01|)."""
+        lo = ((self.b00 + self.b11) / 2
+              - math.hypot((self.b00 - self.b11) / 2, abs(self.b01)))
+        return min(v for v in (self.s1, self.s2, lo) if v is not None)
 
 
 def relabel(c: s3.Coeffs, tau):
     """Coefficients of V_tau X V_tau: b_sigma = a_{tau sigma tau}, in the
     class of c (the relabeling is the same for the T basis)."""
-    q = complex(c.a_123)
+    q = c.a_123
     cls = type(c)
     if tau == "12":
         return cls(c.d, c.a_e, c.a_12, c.a_23, c.a_13, q.conjugate())
@@ -81,13 +83,12 @@ def positivity_margins_w3(c: S3Coeffs):
     """Slacks of the closed-form positivity inequalities (all >= 0 iff the
     associated map is positive iff L(e_11) is PSD)."""
     ae, a12, a13, a23, r, _ = c.as_tuple6()
-    q = complex(c.a_123)
     return (
         ae + a12,
         ae + a13,
         ae - abs(a23),
         ae + a12 + a13 + a23 + 2 * r,
-        (ae + a12) * (ae + a13) - abs(a23 + q) ** 2,
+        (ae + a12) * (ae + a13) - abs(a23 + c.a_123) ** 2,
     )
 
 
@@ -99,16 +100,15 @@ def F_iso(c: s3.Coeffs) -> Table2Block:
     """Block image of X = sum a_sigma V_sigma; X is PSD iff all blocks are.
     s2 is X on Lambda^3 C^d, which is 0 at d = 2, so it is left out there."""
     ae, a12, a13, a23, _, _ = c.as_tuple6()
-    q = complex(c.a_123)
+    q = c.a_123
     qb = q.conjugate()
     w, wb = OMEGA, OMEGA.conjugate()
     s1 = ae + a12 + a13 + a23 + 2 * c.r
     s2 = ae - (a12 + a13 + a23) + 2 * c.r
-    block = np.array([
-        [ae + wb * q + w * qb, wb * a12 + w * a13 + a23],
-        [w * a12 + wb * a13 + a23, ae + w * q + wb * qb],
-    ])
-    return Table2Block(float(s1), None if c.d == 2 else float(s2), block)
+    return Table2Block(s1, None if c.d == 2 else s2,
+                       (ae + wb * q + w * qb).real,
+                       (ae + w * q + wb * qb).real,
+                       wb * a12 + w * a13 + a23)
 
 
 def G_iso(c: s3.Coeffs) -> Table2Block:
@@ -117,16 +117,11 @@ def G_iso(c: s3.Coeffs) -> Table2Block:
     at d = 2 that part is 0, so s2 is left out there."""
     d = c.d
     ae, a12, a13, a23, r, s = c.as_tuple6()
-    q = complex(c.a_123)
-    y = np.sqrt(d * d - 1.0) / 2
-    s1 = ae + a23
-    s2 = ae - a23
-    b00 = ae + a23 + (d + 1) / 2 * (a12 + a13 + 2 * r)
-    b11 = ae - a23 + (d - 1) / 2 * (a12 + a13 - 2 * r)
-    b01 = y * (a12 - a13 - (q - q.conjugate()))
-    b10 = y * (a12 - a13 + (q - q.conjugate()))
-    block = np.array([[b00, b01], [b10, b11]])
-    return Table2Block(float(s1), None if d == 2 else float(s2), block)
+    y = math.sqrt(d * d - 1.0) / 2
+    return Table2Block(ae + a23, None if d == 2 else ae - a23,
+                       ae + a23 + (d + 1) / 2 * (a12 + a13 + 2 * r),
+                       ae - a23 + (d - 1) / 2 * (a12 + a13 - 2 * r),
+                       y * complex(a12 - a13, -2 * s))
 
 
 def is_cp_w3(c: s3.Coeffs, tol=DEFAULT_TOL):
@@ -192,7 +187,7 @@ def rho_t_coeffs(d, t) -> S3Coeffs:
     if t <= 0:
         raise ContractError("t must be > 0")
     norm = d**3 + (t + 1) * d**2 + 2 * t
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise ContractError(f"rho_t normalizer overflows at t = {t}")
     pf = 1.0 / norm
     return S3Coeffs(d, pf * (d + t) / d, 0.0, pf, 0.0,
@@ -246,7 +241,7 @@ def detect_entanglement_w3(c: S3Coeffs, grid=64,
 
     rows = _witness_coeff_grid(c.d, grid)
     mins, ok = s3.witness_sweep(cert, c, rows, tol)
-    worst = int(np.argmin(mins))
+    worst = int(mins.argmin())
     cert.witnesses.append({"id": rows[0][0], "min_eig": float(mins[0])})
     if worst != 0:
         cert.witnesses.append({"id": rows[worst][0],

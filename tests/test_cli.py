@@ -259,10 +259,17 @@ def test_malformed_json_files_are_input_errors(tmp_path, capsys):
                                  "--state", str(state)])
 
 
-def test_dense_builds_above_the_cap_are_input_errors(capsys):
-    _one_line_error(capsys, ["state", "rho-t", "--d", "40", "--t", "1"])
+def test_dense_builds_above_the_cap_are_input_errors(tmp_path, capsys):
+    _one_line_error(capsys, ["state", "rho-t", "--d", "40", "--t", "1",
+                             "--out", str(tmp_path / "rho.json")])
     _one_line_error(capsys, ["certify", "hh", "--d", "65", "--a", "1",
                              "--b", "0", "--c", "0"])
+
+
+def test_state_rho_t_builds_no_dense_matrix_without_out(capsys):
+    assert run(["state", "rho-t", "--d", "40", "--t", "1"]) == 0
+    trace = capsys.readouterr().out.split("trace:")[1].splitlines()[0]
+    assert abs(float(trace) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("family, verdict", [

@@ -8,7 +8,7 @@ from covwit import hh, werner3
 from covwit.linalg import (DEFAULT_TOL, MAX_DIM, ContractError,
                            DimensionError, Tolerances, check_dense,
                            check_hermitian, flip, identity, is_psd,
-                           matrix_unit, partial_transpose)
+                           partial_transpose)
 from covwit.twirl import build_V
 
 
@@ -31,9 +31,7 @@ def test_tolerances_validation():
     assert t.psd_tol == 1e-6 and t.eq_tol == DEFAULT_TOL.eq_tol
 
 
-def test_matrix_unit_and_flip():
-    e01 = matrix_unit(0, 1, 3)
-    assert e01[0, 1] == 1.0 and np.count_nonzero(e01) == 1
+def test_flip():
     f = flip(3)
     # F(x (x) y) = y (x) x on product vectors
     x = np.arange(3.0)

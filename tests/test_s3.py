@@ -1,12 +1,16 @@
 """The shared S3 core: the closed-form witness sweep and block spectra
-against the dense matrices they replaced, and decisions without them."""
+against the dense matrices they replaced, decisions without them, and the
+coefficient format fixed at construction."""
+
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covwit import linalg, quo, s3, werner3
-from covwit.linalg import DEFAULT_TOL, partial_transpose
+from covwit import hh, linalg, quo, s3, werner3
+from covwit.linalg import DEFAULT_TOL, ContractError, partial_transpose
 from covwit.twirl import PERMS
 
 # family -> (module, coefficient class, witness basis maps, catalogue)
@@ -100,3 +104,70 @@ def test_decisions_build_no_dense_matrix(monkeypatch):
     for d in (2, 3):
         c = quo.QuoCoeffs(d, 1.0 / d**3, 0, 0, 0, 0)
         assert quo.decide_quo(c, grid=4).verdict == "SEPARABLE"
+
+
+def test_decisions_run_no_eigensolve(monkeypatch):
+    """werner3 and quo read every spectrum off scalars and 2x2 blocks in
+    closed form, so no decision reaches LAPACK."""
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve on a werner3/quo decision path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    cert = werner3.detect_entanglement_w3(werner3.rho_t_coeffs(3, 1), grid=8)
+    assert cert.verdict == "ENTANGLED"
+    assert abs(cert.witnesses[0]["min_eig"] + (2 / 3) / 47) <= 1e-15
+    for d in (2, 3):
+        mixed = quo.QuoCoeffs(d, 1.0 / d**3, 0, 0, 0, 0)
+        omega_ab = quo.QuoCoeffs(d, 0, 1.0 / d**2, 0, 0, 0)
+        assert quo.decide_quo(mixed, grid=4).verdict == "SEPARABLE"
+        assert quo.decide_quo(omega_ab, grid=4).verdict == "ENTANGLED"
+
+
+NUMBER_TYPES = {"float32": np.float32, "float64": np.float64,
+                "Fraction": Fraction, "complex": complex, "int": int}
+
+
+@pytest.mark.parametrize("kind", NUMBER_TYPES)
+def test_coefficients_are_stored_as_float_and_complex(kind):
+    """Any real number type builds coefficients; the real fields come out
+    as float, a_123 as complex, and the certificates serialize."""
+    num = NUMBER_TYPES[kind]
+    for cls, decide, d in ((werner3.S3Coeffs, werner3.detect_entanglement_w3,
+                            4), (quo.QuoCoeffs, quo.decide_quo, 2),
+                           (quo.QuoCoeffs, quo.decide_quo, 4)):
+        # 1/d^3 is exact in float32 at d = 2, 4, so the trace stays 1
+        c = cls(d, num(1) / num(d**3), num(0), num(0), num(0), num(0))
+        assert all(type(v) is float for v in c.as_tuple6())
+        assert type(c.a_123) is complex
+        cert = json.loads(decide(c, grid=4).to_json())
+        assert cert["coeffs"]["a_e"] == 1 / d**3
+        assert cls.from_tuple6(d, [num(0)] * 6).a_123 == 0
+    co = hh.HHCoeffs(3, num(1), num(1) / num(4), num(0))
+    assert all(type(v) is float for v in (co.a, co.b, co.c))
+    assert json.loads(hh.decide(co).to_json())["verdict"] == "EB"
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None, np.nan, np.inf,
+                                 np.float32(np.inf), 0.5 + 0.25j],
+                         ids=["str", "bool", "None", "nan", "inf",
+                              "float32-inf", "complex"])
+def test_bad_coefficients_are_contract_errors(bad):
+    for i in range(4):
+        args = [0.0] * 4
+        args[i] = bad
+        for cls in (werner3.S3Coeffs, quo.QuoCoeffs):
+            with pytest.raises(ContractError):
+                cls(3, *args, 0j)
+            with pytest.raises(ContractError):
+                cls.from_tuple6(3, args + [0.0, 0.0])
+    for i in range(3):
+        args = [0.0] * 3
+        args[i] = bad
+        with pytest.raises(ContractError):
+            hh.HHCoeffs(3, *args)
+    for re_im in ([bad, 0.0], [0.0, bad]):
+        with pytest.raises(ContractError):
+            werner3.S3Coeffs.from_tuple6(3, [0.0] * 4 + re_im)
+    if not isinstance(bad, complex):
+        with pytest.raises(ContractError):
+            quo.QuoCoeffs(3, 0.0, 0.0, 0.0, 0.0, bad)

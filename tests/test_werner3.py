@@ -122,7 +122,8 @@ def test_G_block_example_a12_only():
     g = w3.G_iso(c)
     y = np.sqrt(8.0) / 2
     assert g.s1 == 0 and g.s2 == 0
-    assert np.abs(g.block - np.array([[2.0, y], [y, 1.0]])).max() < 1e-12
+    assert abs(g.b00 - 2.0) < 1e-12 and abs(g.b11 - 1.0) < 1e-12
+    assert abs(g.b01 - y) < 1e-12
 
 
 def test_ppt_verdicts_vs_numeric():
