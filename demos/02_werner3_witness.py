@@ -22,7 +22,7 @@ print(f"  positive: {werner3.is_positive_w3(L0)}, "
       "   (neither -> non-decomposable)")
 
 for t in (1.0, 3.0, 5.6):
-    c, rho = werner3.rho_t(d, t)
+    c = werner3.rho_t_coeffs(d, t)
     cert = werner3.detect_entanglement_w3(c, grid=8)
     ppt = {k.split("_")[1]: v["verdict"] for k, v in cert.checks.items()
            if k.startswith("ppt")}

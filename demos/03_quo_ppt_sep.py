@@ -28,7 +28,7 @@ for d in (2, 3):
         lo = np.linalg.eigvalsh(x)[0].real
         c = quo.QuoCoeffs(d, c.a_e - min(lo, 0) * 1.05, c.a_12, c.a_13,
                           c.a_23, c.a_123)
-        f = 1.0 / quo.trace_quo(c)
+        f = 1.0 / c.trace()
         c = quo.QuoCoeffs(d, f * c.a_e, f * c.a_12, f * c.a_13, f * c.a_23,
                           f * complex(c.a_123))
         if not quo.ppt_quo(c)["A-BC"]:

@@ -7,7 +7,7 @@ L(X)_kl = sum_ij X_ij C[(i,k),(j,l)].
 
 import numpy as np
 
-from .linalg import DimensionError, asmatrix, flip, identity
+from .linalg import DimensionError, asmatrix, flip, identity, integer
 
 
 def max_entangled(d):
@@ -24,8 +24,7 @@ class LinMap:
     """
 
     def __init__(self, d_in, d_out, choi_unnorm, *, family=None):
-        if d_in < 1 or d_out < 1:
-            raise DimensionError("map dimensions must be positive")
+        d_in, d_out = integer(d_in, "d_in", 1), integer(d_out, "d_out", 1)
         c = asmatrix(choi_unnorm)
         n = d_in * d_out
         if c.shape != (n, n):

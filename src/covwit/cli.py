@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, hh, oracle, quo, serialize, twirl, werner3
+from . import __version__, hh, oracle, quo, s3, serialize, twirl, werner3
 from .choi import LinMap
 from .linalg import (ContractError, CovwitError, DimensionError,
-                     NumericalError, Tolerances, UnsupportedDimensionError)
+                     NumericalError, Tolerances, integer)
 
 
 def parse_number(text):
@@ -39,10 +39,7 @@ def parse_coeffs(text):
 
 def make_tol(args):
     kw = {"psd_tol": args.tol_psd, "eq_tol": args.tol_eq}
-    try:
-        return Tolerances(**{k: v for k, v in kw.items() if v is not None})
-    except ValueError as exc:
-        raise ContractError(str(exc)) from exc
+    return Tolerances(**{k: v for k, v in kw.items() if v is not None})
 
 
 def emit_certificate(cert, args):
@@ -76,7 +73,7 @@ def cmd_state(args):
     print(f"rho_t  d={args.d}  t={args.t}")
     print(f"coeffs: a_e={c.a_e!r} a_12={c.a_12!r} a_13={c.a_13!r} "
           f"a_23={c.a_23!r} a_123={c.a_123!r}")
-    print(f"trace: {werner3.trace_w3(c)!r}")
+    print(f"trace: {c.trace()!r}")
     if args.out:
         print(f"wrote {rho.shape[0]}x{rho.shape[1]} matrix to {args.out}")
     return 0
@@ -86,15 +83,9 @@ def map_from_file(path):
     obj = serialize.load_json(path)
     if not isinstance(obj, dict):
         raise ContractError(f"map JSON in {path} is not an object")
-
-    def dim(key):
-        if type(obj.get(key)) is not int:
-            raise ContractError(f"map JSON in {path}: {key} must be an integer")
-        return obj[key]
-
     if "choi_unnormalized" in obj:
         c = serialize.matrix_from_obj(obj["choi_unnormalized"])
-        return LinMap(dim("d_in"), dim("d_out"), c)
+        return LinMap(obj.get("d_in"), obj.get("d_out"), c)
     fam = obj.get("family")
     if fam not in ("hh", "werner3-L", "quo-M"):
         raise ContractError(f"unrecognized map JSON in {path}")
@@ -107,10 +98,11 @@ def map_from_file(path):
         if key not in co:
             raise ContractError(f"map JSON in {path}: coeffs lack {key!r}")
     if fam == "hh":
-        return hh.build_psi(hh.HHCoeffs(dim("d"), co["a"], co["b"], co["c"]))
+        return hh.build_psi(hh.HHCoeffs(obj.get("d"), co["a"], co["b"],
+                                        co["c"]))
     mod, cls = ((werner3, werner3.S3Coeffs) if fam == "werner3-L"
                 else (quo, quo.QuoCoeffs))
-    return mod.build_map(cls.from_tuple6(dim("d"), (
+    return mod.build_map(cls.from_tuple6(obj.get("d"), (
         co["a_e"], co["a_12"], co["a_13"], co["a_23"], co["re_123"],
         co.get("im_123", 0.0))))
 
@@ -183,11 +175,8 @@ def cmd_regions(args):
 
 
 def cmd_sweep(args):
-    d, n = args.d, args.grid
-    if d < 3:
-        raise ContractError("--d must be >= 3")
-    if n < 2:
-        raise ContractError("--grid must be >= 2")
+    d = integer(args.d, "--d", 3, ContractError)
+    n = integer(args.grid, "--grid", 2, ContractError)
     lines = ["a,b,c,positive,cp,ccp,ppt,eb"]
     for a in np.linspace(0.0, d / (d - 1), n):
         for b in np.linspace(-1.0, 1.0, n):
@@ -210,8 +199,6 @@ def cmd_sweep(args):
 
 
 def cmd_selftest(args):
-    if args.seed < 0:
-        raise ContractError(f"--seed must be >= 0, got {args.seed}")
     ok, _ = oracle.selftest(seed=args.seed, level=args.level)
     return 0 if ok else 2
 
@@ -249,7 +236,7 @@ def build_parser():
         cf.add_argument("--d", type=int, required=True)
         cf.add_argument("--coeffs", required=True,
                         help="ae,a12,a13,a23,re123,im123")
-        cf.add_argument("--grid", type=int, default=16)
+        cf.add_argument("--grid", type=int, default=s3.GRID)
         cf.add_argument("--json", default=None)
         tolerances(cf)
 
@@ -319,8 +306,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ContractError, DimensionError, UnsupportedDimensionError,
-            CovwitError, OSError, KeyError) as exc:
+    except (CovwitError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,16 +14,17 @@ import numpy as np
 
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                     UnsupportedDimensionError, band, check_dense, classify,
-                     finite_number, identity, is_psd)
+from .linalg import (DEFAULT_TOL, ContractError, UnsupportedDimensionError,
+                     band, check_dense, classify, finite_number, identity,
+                     integer, is_psd)
 
 CONSTRAINT_TAGS = (1, 2, 3, 4, 5, 6)
 
 
 @dataclass(frozen=True)
 class HHCoeffs:
-    """Coefficients (a, b, c) of psi_{a,b,c} as floats; psi3 weighs 1-a-b-c."""
+    """Coefficients (a, b, c) of psi_{a,b,c} as floats, d as an int; psi3
+    weighs 1-a-b-c."""
 
     d: int
     a: float
@@ -31,8 +32,7 @@ class HHCoeffs:
     c: float
 
     def __post_init__(self):
-        if self.d < 2:
-            raise DimensionError("d must be >= 2")
+        object.__setattr__(self, "d", integer(self.d, "d", 2))
         for name in ("a", "b", "c"):
             object.__setattr__(self, name,
                                finite_number(getattr(self, name), name))
@@ -159,8 +159,7 @@ def counterexample_vector(tag, d):
 
 
 def extremals(d) -> HHExtremals:
-    if d < 2:
-        raise DimensionError("d must be >= 2")
+    d = integer(d, "d", 2)
     e = d / (d - 1)
     f = 1.0 / (d - 1)
     cp = (

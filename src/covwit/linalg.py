@@ -10,6 +10,7 @@ times max(1, s)^k, and reads "false" below -band, "boundary" within it and
 
 import cmath
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,29 +38,6 @@ class UnsupportedDimensionError(CovwitError):
     pass
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used by every PSD and equality check."""
-
-    psd_tol: float = 1e-9
-    eq_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not all(np.isfinite(t) and t > 0
-                   for t in (self.psd_tol, self.eq_tol)):
-            raise ValueError("tolerances must be finite and strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
-
-
-def check_dense(n):
-    """Refuse a dense n x n build above MAX_DIM before it allocates."""
-    if n > MAX_DIM:
-        raise DimensionError(
-            f"dense {n}x{n} matrix exceeds the size cap {MAX_DIM}")
-
-
 def is_number(v):
     """True for int, float and complex values (numpy's too), not for bool."""
     return isinstance(v, numbers.Number) and not isinstance(v, bool)
@@ -77,6 +55,46 @@ def finite_number(v, what, real=True):
         raise ContractError(f"{what} must be a finite "
                             f"{'real ' if real else ''}number, got {v!r}")
     return z.real if real else z
+
+
+def integer(v, what, least, error=DimensionError):
+    """The integer rule: v as an int if it is an int or a numpy integer
+    (operator.index), bool not, else ContractError; below least, error."""
+    try:
+        i = None if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        i = None
+    if i is None:
+        raise ContractError(f"{what} must be an integer, got {v!r}")
+    if i < least:
+        raise error(f"{what} must be >= {least}, got {i}")
+    return i
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Numerical thresholds used by every PSD and equality check, stored
+    as float by the coefficient rule."""
+
+    psd_tol: float = 1e-9
+    eq_tol: float = 1e-10
+
+    def __post_init__(self):
+        for name in ("psd_tol", "eq_tol"):
+            t = finite_number(getattr(self, name), name)
+            if t <= 0:
+                raise ContractError(f"{name} must be > 0, got {t!r}")
+            object.__setattr__(self, name, t)
+
+
+DEFAULT_TOL = Tolerances()
+
+
+def check_dense(n):
+    """Refuse a dense n x n build above MAX_DIM before it allocates."""
+    if n > MAX_DIM:
+        raise DimensionError(
+            f"dense {n}x{n} matrix exceeds the size cap {MAX_DIM}")
 
 
 def asmatrix(x):

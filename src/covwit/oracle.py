@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, classify, is_psd,
+from .linalg import (DEFAULT_TOL, ContractError, classify, integer, is_psd,
                      partial_transpose)
 from .twirl import BASES, cond_expect, family_dim
 
@@ -130,6 +130,7 @@ def selftest(seed=0, level="quick", out=print):
     """Oracle-agreement suite; returns (all_ok, results) and prints a table."""
     from . import hh, quo, s3, werner3
 
+    seed = integer(seed, "seed", 0, ContractError)
     if level not in ("quick", "full"):
         raise ContractError("level must be 'quick' or 'full'")
     big = level == "full"
@@ -199,7 +200,7 @@ def selftest(seed=0, level="quick", out=print):
     check("table2-blocks-vs-psd", table2)
 
     def rho_t_cert():
-        c, _ = werner3.rho_t(3, 1.0)
+        c = werner3.rho_t_coeffs(3, 1.0)
         cert = werner3.detect_entanglement_w3(c, grid=8)
         lo = cert.witnesses[0]["min_eig"]
         ok = (cert.verdict == "ENTANGLED"

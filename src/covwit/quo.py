@@ -111,9 +111,6 @@ def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
             for part, v in s3.ppt_verdicts(ppt_margins_quo(c), c, tol).items()}
 
 
-trace_quo = QuoCoeffs.trace
-
-
 def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1,
                  d=3) -> s3.Extremal:
     """Extremal trace-preserving positive covariant map; Types I-IV for
@@ -153,7 +150,7 @@ def _witness_rows(d, grid):
     return s3.grid_rows(extremal_quo, ("I'", "II'"), d, grid)
 
 
-def decide_quo(c: QuoCoeffs, grid=16, tol=DEFAULT_TOL) -> Certificate:
+def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
     """Separability certificate across A-BC: separable iff A-BC PPT.
 
     The closed-form PPT verdict is decisive; the least eigenvalue of the

@@ -15,11 +15,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .certificate import Certificate
-from .linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                     check_dense, classify, finite_number)
+from .linalg import (DEFAULT_TOL, ContractError, check_dense, classify,
+                     finite_number, integer)
 from .twirl import PERMS
 
 TP_TOL = 1e-12
+GRID = 16  # default witness grid of both decision functions and --grid
 
 # CYCLES[s, t] is the number of cycles of PERMS[s] o PERMS[t], so that
 # Tr(X_s X_t) = d^CYCLES[s, t] for X = V, and for X = T as well because
@@ -33,8 +34,8 @@ CYCLES = np.array([[3, 2, 2, 2, 1, 1], [2, 3, 1, 1, 2, 2],
 class Coeffs:
     """Coefficients over a six-operator S3-indexed basis with the Hermitian
     reality pattern: a_e, a_12, a_13, a_23 real (stored as float), a_123
-    complex, a_132 = conj(a_123) (never stored).  Subclasses set MIN_D,
-    the least d at which the family's coefficients are valid."""
+    complex, a_132 = conj(a_123) (never stored), d an int.  Subclasses set
+    MIN_D, the least d at which the family's coefficients are valid."""
 
     d: int
     a_e: float
@@ -44,8 +45,7 @@ class Coeffs:
     a_123: complex
 
     def __post_init__(self):
-        if self.d < self.MIN_D:
-            raise DimensionError(f"d must be >= {self.MIN_D}")
+        object.__setattr__(self, "d", integer(self.d, "d", self.MIN_D))
         for name in ("a_e", "a_12", "a_13", "a_23"):
             object.__setattr__(self, name,
                                finite_number(getattr(self, name), name))
@@ -170,8 +170,7 @@ def state_check(c: Coeffs, is_cp, tol=DEFAULT_TOL):
 def extremal_grid(extremal_fn, types, d, grid):
     """Extremals of the given continuous types over a compact (A-B, C, sign)
     grid at A+B=1; grid points the closed forms reject are skipped."""
-    if grid < 2:
-        raise ContractError(f"witness grid must be >= 2, got {grid}")
+    grid = integer(grid, "witness grid", 2, ContractError)
     for u in np.linspace(-1.0, 1.0, grid):
         A, B = (1 + u) / 2, (1 - u) / 2
         cmax = np.sqrt(A * B)

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from .linalg import ContractError, DimensionError, is_number
+from .linalg import ContractError, DimensionError, integer, is_number
 
 
 def matrix_to_obj(m):
@@ -25,10 +25,8 @@ def matrix_from_obj(obj):
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ContractError(f"malformed matrix JSON: {exc}") from exc
-    if type(rows) is not int or type(cols) is not int:
-        raise ContractError("matrix JSON rows and cols must be integers")
-    if rows < 1 or cols < 1:
-        raise DimensionError("matrix JSON dimensions must be positive")
+    rows = integer(rows, "matrix JSON rows", 1)
+    cols = integer(cols, "matrix JSON cols", 1)
     if not (isinstance(data, list) and all(
             isinstance(z, list) and len(z) == 2 and all(map(is_number, z))
             for z in data)):

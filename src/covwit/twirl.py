@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (ContractError, DimensionError, NumericalError, asmatrix,
-                     check_dense, flip, identity)
+                     check_dense, flip, identity, integer)
 from .choi import max_entangled
 
 GRAM_COND_LIMIT = 1e12
@@ -102,8 +102,7 @@ def diag_units(d):
 def _basis_dim(d, power):
     """n = d**power, the side of a family's basis operators, once d >= 2 and
     the dense size cap are checked."""
-    if d < 2:
-        raise DimensionError("d must be >= 2")
+    d = integer(d, "d", 2)
     check_dense(d**power)
     return d**power
 

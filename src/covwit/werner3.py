@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from . import s3
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import DEFAULT_TOL, ContractError, DimensionError, classify
+from .linalg import (DEFAULT_TOL, ContractError, classify, finite_number,
+                     integer)
 from .twirl import build_V
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -149,9 +150,6 @@ def ppt_w3(c: S3Coeffs, tol=DEFAULT_TOL):
             for part, v in s3.ppt_verdicts(ppt_margins_w3(c), c, tol).items()}
 
 
-trace_w3 = S3Coeffs.trace
-
-
 def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> s3.Extremal:
     """Extremal trace-preserving positive covariant map of Type I/II/III."""
     if type_name not in ("I", "II", "III"):
@@ -181,9 +179,10 @@ def witness_L0(d) -> S3Coeffs:
 
 
 def rho_t_coeffs(d, t) -> S3Coeffs:
-    """The coefficients of rho_t, without its dense matrix."""
-    if d < 3:
-        raise DimensionError("d must be >= 3")
+    """The coefficients of rho_t; werner3.invariant_matrix builds its
+    dense matrix."""
+    d = integer(d, "d", 3)
+    t = finite_number(t, "t")
     if t <= 0:
         raise ContractError("t must be > 0")
     norm = d**3 + (t + 1) * d**2 + 2 * t
@@ -195,7 +194,9 @@ def rho_t_coeffs(d, t) -> S3Coeffs:
 
 
 def rho_t(d, t):
-    """A-BC PPT entangled invariant state family; returns (coeffs, matrix)."""
+    """(rho_t_coeffs(d, t), the dense matrix).  Nothing in covwit calls it;
+    perfbench's tracer test does, so it leaves with the next benchmark
+    change."""
     c = rho_t_coeffs(d, t)
     return c, invariant_matrix(c)
 
@@ -205,8 +206,7 @@ def t_max(d=3):
     and the block's (0, 0) entry are positive, so the block decides: its
     determinant is proportional to d^2 (d + 1) + d (d + 4) t - (d^2 - 4) t^2,
     and the edge is the larger root of that quadratic."""
-    if d < 3:
-        raise DimensionError("d must be >= 3")
+    d = integer(d, "d", 3)
     a, b, c = d * d - 4, d * (d + 4), d * d * (d + 1)
     return (b + math.sqrt(b * b + 4 * a * c)) / (2 * a)
 
@@ -224,7 +224,7 @@ def state_check(c: S3Coeffs, tol=DEFAULT_TOL):
     s3.state_check(c, is_cp_w3, tol)
 
 
-def detect_entanglement_w3(c: S3Coeffs, grid=64,
+def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
                            tol=DEFAULT_TOL) -> Certificate:
     """Witness sweep over extremal covariant positive maps.
 

@@ -264,7 +264,8 @@ def test_criterion_06_table2_isomorphisms(d):
 def test_criterion_07_rho_t_certificate():
     """d=3, t=1: A-BC and C-AB PPT hold, B-AC fails, the canonical witness
     reproduces min eigenvalue -(2/3)/47 within 1e-9, verdict ENTANGLED."""
-    c, rho = werner3.rho_t(3, 1.0)
+    c = werner3.rho_t_coeffs(3, 1.0)
+    rho = werner3.invariant_matrix(c)
     cert = werner3.detect_entanglement_w3(c, grid=8)
     assert cert.check_true("ppt_A-BC")
     assert cert.check_true("ppt_C-AB")

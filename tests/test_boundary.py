@@ -60,7 +60,7 @@ def test_quo_state_on_its_ppt_edge_reads_boundary():
 
 
 def test_every_check_has_evidence_and_a_known_verdict():
-    w3, _ = werner3.rho_t(3, 1.0)
+    w3 = werner3.rho_t_coeffs(3, 1.0)
     certs = (hh.decide(hh.HHCoeffs(3, 0.9, 0.1, 0.05)),
              werner3.detect_entanglement_w3(w3, grid=4),
              quo.decide_quo(quo.QuoCoeffs(2, 0.1, 0.02, -0.01, 0.03,

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from covwit import serialize
+from covwit import serialize, werner3
 from covwit.cli import main, parse_coeffs, parse_number
 from covwit.linalg import ContractError
-from covwit.werner3 import rho_t
+from covwit.werner3 import rho_t_coeffs
 
 
 def run(argv):
@@ -51,8 +51,20 @@ def test_certificate_bytes_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_library_and_cli_share_the_witness_grid_default(capsys):
+    """0.963 rho_t(3, 1) + 0.037 I/27: L0 does not fire, and a grid-64
+    witness does while no grid-16 one does, so the two defaults must be
+    one for the library and `certify` to agree."""
+    text = ("0.028689519306540585,0,0.02048936170212766,0,"
+            "0.006829787234042553,0")
+    c = werner3.S3Coeffs.from_tuple6(3, parse_coeffs(text))
+    verdict = werner3.detect_entanglement_w3(c).verdict
+    assert run(["certify", "werner3", "--d", "3", "--coeffs", text]) == 0
+    assert capsys.readouterr().out.endswith(f"verdict: {verdict}\n")
+
+
 def test_certify_werner3_rho_t(capsys):
-    c, _ = rho_t(3, 1.0)
+    c = rho_t_coeffs(3, 1.0)
     coeffs = ",".join("%.17g" % v for v in c.as_tuple6())
     code = run(["certify", "werner3", "--d", "3", "--coeffs", coeffs,
                 "--grid", "8"])

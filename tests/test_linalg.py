@@ -1,13 +1,16 @@
 """Core linear-algebra utilities: partial transposes, Hermitian and PSD
 checks."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from covwit import hh, werner3
 from covwit.linalg import (DEFAULT_TOL, MAX_DIM, ContractError,
                            DimensionError, Tolerances, check_dense,
-                           check_hermitian, flip, identity, is_psd,
+                           check_hermitian, flip, identity, integer, is_psd,
                            partial_transpose)
 from covwit.twirl import build_V
 
@@ -18,17 +21,61 @@ def random_hermitian(rng, n):
 
 
 def test_tolerances_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         Tolerances(psd_tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         Tolerances(eq_tol=-1e-9)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             Tolerances(psd_tol=bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             Tolerances(eq_tol=bad)
     t = Tolerances(psd_tol=1e-6)
     assert t.psd_tol == 1e-6 and t.eq_tol == DEFAULT_TOL.eq_tol
+
+
+@pytest.mark.parametrize("bad", [True, "x", None, 1e-9j],
+                         ids=["bool", "str", "None", "imaginary"])
+def test_tolerances_must_be_numbers(bad):
+    """A bool is not a band of 1.0: psd_tol=True would let the identity
+    channel certify EB."""
+    for name in ("psd_tol", "eq_tol"):
+        with pytest.raises(ContractError):
+            Tolerances(**{name: bad})
+
+
+def test_tolerances_are_stored_as_float():
+    t = Tolerances(psd_tol=np.float32(1e-9), eq_tol=Fraction(1, 10**10))
+    assert type(t.psd_tol) is float and type(t.eq_tol) is float
+    assert Tolerances(psd_tol=1).psd_tol == 1.0
+    cert = json.loads(hh.decide(hh.HHCoeffs(3, 1, 0.25, 0), tol=t).to_json())
+    assert cert["tolerances"] == {"psd_tol": float(np.float32(1e-9)),
+                                  "eq_tol": 1e-10}
+
+
+@pytest.mark.parametrize("v", [3, np.int64(3), np.int32(3), np.uint8(3)],
+                         ids=["int", "int64", "int32", "uint8"])
+def test_integer_returns_a_plain_int(v):
+    n = integer(v, "d", 2)
+    assert type(n) is int and n == 3
+
+
+@pytest.mark.parametrize("bad", [3.0, 3.5, np.float64(3), True, np.True_,
+                                 Fraction(3), 3 + 0j, "3", None],
+                         ids=["3.0", "3.5", "float64", "bool", "np-bool",
+                              "Fraction", "complex", "str", "None"])
+def test_integer_rejects_non_integers(bad):
+    for error in (DimensionError, ContractError):
+        with pytest.raises(ContractError, match="d must be an integer"):
+            integer(bad, "d", 2, error)
+
+
+def test_integer_below_least_raises_the_given_class():
+    with pytest.raises(DimensionError, match="d must be >= 3, got 2"):
+        integer(2, "d", 3)
+    with pytest.raises(ContractError, match="grid must be >= 2, got 1"):
+        integer(np.int64(1), "grid", 2, ContractError)
+    assert integer(0, "seed", 0, ContractError) == 0
 
 
 def test_flip():

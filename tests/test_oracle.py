@@ -124,3 +124,9 @@ def test_selftest_quick_passes():
 def test_selftest_rejects_bad_level():
     with pytest.raises(ContractError):
         selftest(level="medium")
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "0"])
+def test_selftest_seed_is_a_nonnegative_integer(bad):
+    with pytest.raises(ContractError):
+        selftest(seed=bad, out=lambda *a: None)

@@ -134,7 +134,7 @@ def test_trace_quo_matches_matrix():
     for d in (2, 3):
         c = random_coeffs(rng, d)
         assert np.isclose(np.trace(quo.invariant_matrix(c)).real,
-                          quo.trace_quo(c))
+                          c.trace())
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -170,7 +170,7 @@ def test_extremal_tp_normalization():
         types = ("III", "IV") if d >= 3 else ("I'", "II'")
         for t in types:
             c = quo.extremal_quo(t, 0.5, 0.5, 0.1, 1, d).realized
-            assert np.isclose(quo.trace_quo(c), d)  # TP: trace d^3 / d^2...
+            assert np.isclose(c.trace(), d)  # TP: trace d^3 / d^2...
 
 
 def test_decide_rejects_grid_below_two():
@@ -206,7 +206,7 @@ def test_decide_entangled_state():
             # shift to PSD by adding multiples of T_e = identity
             c = quo.QuoCoeffs(d, c.a_e - 1.05 * lo, c.a_12, c.a_13, c.a_23,
                               c.a_123)
-        f = 1.0 / quo.trace_quo(c)
+        f = 1.0 / c.trace()
         c = quo.QuoCoeffs(d, f * c.a_e, f * c.a_12, f * c.a_13, f * c.a_23,
                           f * complex(c.a_123))
         if not quo.ppt_quo(c)["A-BC"]:

@@ -1,6 +1,7 @@
 """The shared S3 core: the closed-form witness sweep and block spectra
 against the dense matrices they replaced, decisions without them, and the
-coefficient format fixed at construction."""
+coefficient format fixed at construction, and the integer rule at every
+constructor that takes a dimension or a grid."""
 
 import json
 from fractions import Fraction
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covwit import hh, linalg, quo, s3, werner3
-from covwit.linalg import DEFAULT_TOL, ContractError, partial_transpose
+from covwit import hh, linalg, quo, s3, serialize, twirl, werner3
+from covwit.choi import LinMap
+from covwit.linalg import (DEFAULT_TOL, ContractError, DimensionError,
+                           partial_transpose)
 from covwit.twirl import PERMS
 
 # family -> (module, coefficient class, witness basis maps, catalogue)
@@ -96,7 +99,7 @@ def test_block_spectra_match_dense_eigenvalues(case, v):
 
 
 def test_decisions_build_no_dense_matrix(monkeypatch):
-    w3, _ = werner3.rho_t(3, 1.0)
+    w3 = werner3.rho_t_coeffs(3, 1.0)
     monkeypatch.setattr(linalg, "MAX_DIM", 0)
     with pytest.raises(linalg.DimensionError):  # the cap is live
         werner3.invariant_matrix(w3)
@@ -171,3 +174,59 @@ def test_bad_coefficients_are_contract_errors(bad):
     if not isinstance(bad, complex):
         with pytest.raises(ContractError):
             quo.QuoCoeffs(3, 0.0, 0.0, 0.0, 0.0, bad)
+
+
+# constructor -> (its least d, a call with that d)
+D_SITES = {
+    "S3Coeffs": (3, lambda d: werner3.S3Coeffs(d, 1 / 27, 0, 0, 0, 0)),
+    "S3Coeffs.from_tuple6": (3, lambda d: werner3.S3Coeffs.from_tuple6(
+        d, [0] * 6)),
+    "QuoCoeffs": (2, lambda d: quo.QuoCoeffs(d, 1 / 27, 0, 0, 0, 0)),
+    "HHCoeffs": (2, lambda d: hh.HHCoeffs(d, 1, 0, 0)),
+    "hh.extremals": (2, hh.extremals),
+    "rho_t_coeffs": (3, lambda d: werner3.rho_t_coeffs(d, 1)),
+    "t_max": (3, werner3.t_max),
+    "twirl.hh_basis": (2, twirl.hh_basis),
+    "LinMap.d_in": (1, lambda d: LinMap(d, 1, np.eye(3))),
+    "LinMap.d_out": (1, lambda d: LinMap(1, d, np.eye(3))),
+    "matrix_from_obj.rows": (1, lambda d: serialize.matrix_from_obj(
+        {"rows": d, "cols": 1, "data": [[0, 0]] * 3})),
+    "matrix_from_obj.cols": (1, lambda d: serialize.matrix_from_obj(
+        {"rows": 1, "cols": d, "data": [[0, 0]] * 3})),
+}
+
+
+@pytest.mark.parametrize("site", D_SITES)
+def test_every_dimension_goes_through_the_integer_rule(site):
+    least, make = D_SITES[site]
+    for d in (3, np.int64(3), np.int32(3)):
+        out = make(d)
+        if hasattr(out, "d"):
+            assert type(out.d) is int
+    for bad in (3.0, 3.5, True, "3", None):
+        with pytest.raises(ContractError):
+            make(bad)
+    with pytest.raises(DimensionError):
+        make(least - 1)
+
+
+@pytest.mark.parametrize("num", [np.int64, np.int32])
+def test_numpy_integer_d_and_grid_serialize_as_int(num):
+    d = num(3)
+    certs = (werner3.detect_entanglement_w3(werner3.rho_t_coeffs(d, 1),
+                                            grid=num(4)),
+             quo.decide_quo(quo.QuoCoeffs(d, 1 / 27, 0, 0, 0, 0),
+                            grid=num(4)),
+             hh.decide(hh.HHCoeffs(d, 1, 0.25, 0)))
+    for cert in certs:
+        got = json.loads(cert.to_json())["d"]
+        assert type(got) is int and got == 3
+
+
+@pytest.mark.parametrize("bad", [4.5, True, 1, "4", None])
+def test_bad_grids_are_contract_errors(bad):
+    for decide, c in ((werner3.detect_entanglement_w3,
+                       werner3.rho_t_coeffs(3, 1)),
+                      (quo.decide_quo, quo.QuoCoeffs(3, 1 / 27, 0, 0, 0, 0))):
+        with pytest.raises(ContractError):
+            decide(c, grid=bad)

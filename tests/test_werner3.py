@@ -2,6 +2,7 @@
 extremal witnesses, and the PPT-entangled state family rho_t."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def test_invariant_matrix_hermitian_and_trace():
         c = random_coeffs(rng)
         x = w3.invariant_matrix(c)
         assert np.abs(x - x.conj().T).max() < 1e-12
-        assert np.isclose(np.trace(x).real, w3.trace_w3(c))
+        assert np.isclose(np.trace(x).real, c.trace())
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -169,23 +170,31 @@ def test_witness_L0_canonical_form():
 
 def test_rho_t_is_state():
     for d, t in ((3, 1.0), (3, 4.0), (4, 2.0)):
-        c, rho = w3.rho_t(d, t)
+        c = w3.rho_t_coeffs(d, t)
+        rho = w3.invariant_matrix(c)
         assert np.isclose(np.trace(rho).real, 1.0)
         assert is_psd(rho)[0]
         w3.state_check(c)
     with pytest.raises(ContractError):
-        w3.rho_t(3, 0.0)
+        w3.rho_t_coeffs(3, 0.0)
 
 
 def test_rho_t_rejects_an_overflowing_normalizer():
     with pytest.raises(ContractError):
-        w3.rho_t(3, 1e308)
+        w3.rho_t_coeffs(3, 1e308)
+
+
+def test_rho_t_t_follows_the_coefficient_rule():
+    for bad in ("1", None, True, float("nan")):
+        with pytest.raises(ContractError):
+            w3.rho_t_coeffs(3, bad)
+    assert w3.rho_t_coeffs(3, Fraction(1)) == w3.rho_t_coeffs(3, 1.0)
 
 
 def test_rho_t_certificate_t1():
     """d=3, t=1: A-BC and C-AB PPT, B-AC not; the canonical witness gives
     min eigenvalue -(2/3)/47; overall verdict ENTANGLED."""
-    c, _ = w3.rho_t(3, 1.0)
+    c = w3.rho_t_coeffs(3, 1.0)
     cert = w3.detect_entanglement_w3(c, grid=8)
     assert cert.check_true("ppt_A-BC")
     assert cert.check_true("ppt_C-AB")
@@ -199,7 +208,7 @@ def test_rho_t_certificate_t1():
 def test_rho_t_npt_beyond_threshold():
     """Past the A-BC PPT threshold the state is NPT; the witness sweep also
     fires, so the verdict stays ENTANGLED."""
-    c, _ = w3.rho_t(3, 5.6)
+    c = w3.rho_t_coeffs(3, 5.6)
     assert not w3.ppt_w3(c)["A-BC"]
     cert = w3.detect_entanglement_w3(c, grid=8)
     assert cert.verdict in ("ENTANGLED", "NPT-ENTANGLED")
@@ -234,7 +243,7 @@ def test_detect_rejects_non_state():
 
 
 def test_detect_rejects_grid_below_two():
-    c, _ = w3.rho_t(3, 1.0)
+    c = w3.rho_t_coeffs(3, 1.0)
     with pytest.raises(ContractError):
         w3.detect_entanglement_w3(c, grid=1)
 
