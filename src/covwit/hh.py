@@ -143,6 +143,7 @@ def counterexample_vector(tag, d):
     the tagged positivity inequality fails."""
     if tag not in CONSTRAINT_TAGS:
         raise ContractError(f"invalid constraint tag {tag!r}")
+    d = integer(d, "d", 2)
     v = np.zeros(d, dtype=complex)
     if tag == 1:
         v[0] = 1.0

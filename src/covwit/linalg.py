@@ -127,11 +127,12 @@ def partial_transpose(x, dims, which):
     factor index.
     """
     x = asmatrix(x)
-    dims = list(dims)
+    dims = [integer(n, "subsystem dimension", 1) for n in dims]
     if x.shape != (int(np.prod(dims)),) * 2:
         raise DimensionError(f"matrix shape {x.shape} inconsistent with dims {dims}")
     k = len(dims)
-    if not 0 <= which < k:
+    which = integer(which, "factor index", 0)
+    if which >= k:
         raise DimensionError(f"factor index {which} out of range for {k} factors")
     t = x.reshape(dims + dims)
     t = np.swapaxes(t, which, k + which)

@@ -23,22 +23,34 @@ class QuoCoeffs(s3.Coeffs):
 
     MIN_D = 2
 
-    def scale(self):
-        """At d = 2 the scale of reduce_d2(self): one band per operator."""
-        if self.d != 2:
-            return super().scale()
-        ae = self.a_e
-        return max(abs(self.a_12 + ae), abs(self.a_13 + ae),
-                   abs(self.a_23 + ae), abs(self.a_123 - ae))
+    @staticmethod
+    def scale6(d, t):
+        """The scale of reduce_d2(d, t): at d = 2 one band per operator."""
+        return s3.Coeffs.scale6(d, reduce_d2(d, t))
+
+    @staticmethod
+    def margins6(d, t):
+        """Slacks of the closed-form positivity inequalities for
+        M = sum a M_sigma (equivalently PSD-ness of M(e_11))."""
+        if d == 2:
+            _, a12, a13, a23, r, s = reduce_d2(d, t)
+            s1 = a12 + a13 + a23 + 2 * r
+            return (a12, a13, a23, s1,
+                    s1 * a23 - abs(complex(a23 + r, s)) ** 2)
+        ae, a12, a13, a23, r, s = t
+        s1 = ae + a12 + a13 + a23 + 2 * r
+        s2 = ae + (d - 1) * a23
+        return (ae, ae + a12, ae + a13, s1, s2,
+                s1 * s2 - (d - 1) * abs(complex(a23 + r, s)) ** 2)
 
 
-def reduce_d2(c: QuoCoeffs) -> QuoCoeffs:
-    """Fold a_e into the other coefficients via the d = 2 relation
-    T_e = T_12 + T_13 + T_23 - T_123 - T_132."""
-    if c.d != 2:
-        return c
-    return QuoCoeffs(2, 0.0, c.a_12 + c.a_e, c.a_13 + c.a_e,
-                     c.a_23 + c.a_e, c.a_123 - c.a_e)
+def reduce_d2(d, t):
+    """Fold a_e of the tuple6 t into the other coefficients via the d = 2
+    relation T_e = T_12 + T_13 + T_23 - T_123 - T_132; t itself at d > 2."""
+    if d != 2:
+        return t
+    ae = t[0]
+    return (0.0, t[1] + ae, t[2] + ae, t[3] + ae, t[4] - ae, t[5])
 
 
 def build_M(sigma, d) -> LinMap:
@@ -58,27 +70,11 @@ def invariant_matrix(c: QuoCoeffs):
 
 
 def positivity_margins_quo(c: QuoCoeffs):
-    """Slacks of the closed-form positivity inequalities for M = sum a M_sigma
-    (equivalently PSD-ness of M(e_11))."""
-    if c.d == 2:
-        b = reduce_d2(c)
-        s1 = b.a_12 + b.a_13 + b.a_23 + 2 * b.r
-        return (
-            b.a_12, b.a_13, b.a_23, s1,
-            s1 * b.a_23 - abs(b.a_23 + b.a_123) ** 2,
-        )
-    d = c.d
-    ae, a12, a13, a23, r = c.a_e, c.a_12, c.a_13, c.a_23, c.r
-    s1 = ae + a12 + a13 + a23 + 2 * r
-    s2 = ae + (d - 1) * a23
-    return (
-        ae, ae + a12, ae + a13, s1, s2,
-        s1 * s2 - (d - 1) * abs(a23 + c.a_123) ** 2,
-    )
+    return QuoCoeffs.margins6(c.d, c.as_tuple6())
 
 
 def is_positive_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
-    return s3.margins_ok(positivity_margins_quo(c), c.scale(), tol)
+    return s3.positive6(QuoCoeffs, c.d, c.as_tuple6(), tol)
 
 
 def is_cp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
@@ -111,14 +107,12 @@ def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
             for part, v in s3.ppt_verdicts(ppt_margins_quo(c), c, tol).items()}
 
 
-def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1,
-                 d=3) -> s3.Extremal:
-    """Extremal trace-preserving positive covariant map; Types I-IV for
-    d >= 3, Types I'/II' for d = 2, where they take the tuples of III/IV."""
+def _realize_quo(type_name, A, B, C, sign, d):
+    """(sign as +-1, the s3.realize tuple6) of a map of Type I-IV for
+    d >= 3, Type I'/II' for d = 2, where they take the tuples of III/IV."""
     if type_name in ("III", "IV", "I'", "II'"):
         s3.check_params(A, B, C)
     sgn, ss = s3.signed_root(A, B, C, sign)
-
     if type_name not in (("I", "II", "III", "IV") if d >= 3
                          else ("I'", "II'")):
         raise ContractError(f"unknown extremal type {type_name!r} for "
@@ -131,8 +125,15 @@ def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1,
         tup = (0.0, A + B - 2 * C, 0.0, B, C - B, ss)
     else:
         tup = (0.0, 0.0, A + B - 2 * C, B, C - B, ss)
-    return s3.extremal(QuoCoeffs, d, type_name, (A, B, C), sgn, tup,
-                       is_positive_quo)
+    return sgn, s3.realize(QuoCoeffs, d, type_name, (A, B, C), tup)
+
+
+def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1,
+                 d=3) -> s3.Extremal:
+    """Extremal trace-preserving positive covariant map; Types I-IV for
+    d >= 3, Types I'/II' for d = 2."""
+    sgn, t = _realize_quo(type_name, A, B, C, sign, d)
+    return s3.Extremal(type_name, (A, B, C), sgn, QuoCoeffs.from_tuple6(d, t))
 
 
 def state_check(c: QuoCoeffs, tol=DEFAULT_TOL):
@@ -141,13 +142,13 @@ def state_check(c: QuoCoeffs, tol=DEFAULT_TOL):
 
 
 def _witness_rows(d, grid):
-    """Catalogue rows: Types I and II, then III/IV over the (A-B, C, sign)
-    grid; at d = 2 only I'/II' over the grid."""
+    """Catalogue rows (id, tuple6): Types I and II, then III/IV over
+    s3.grid_points; at d = 2 only I'/II' over the grid."""
     if d >= 3:
-        rows = [(t, extremal_quo(t, d=d).realized.vector())
+        rows = [(t, extremal_quo(t, d=d).realized.as_tuple6())
                 for t in ("I", "II")]
-        return rows + s3.grid_rows(extremal_quo, ("III", "IV"), d, grid)
-    return s3.grid_rows(extremal_quo, ("I'", "II'"), d, grid)
+        return rows + s3.grid_rows(_realize_quo, ("III", "IV"), d, grid)
+    return s3.grid_rows(_realize_quo, ("I'", "II'"), d, grid)
 
 
 def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
@@ -169,8 +170,7 @@ def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
 
     rows = _witness_rows(c.d, grid)
     mins, _ = s3.witness_sweep(cert, c, rows, tol)
-    worst = int(mins.argmin())
-    cert.witnesses.append({"id": rows[worst][0],
-                           "min_eig": float(mins[worst])})
+    worst = mins.index(min(mins))
+    cert.witnesses.append({"id": rows[worst][0], "min_eig": mins[worst]})
     cert.verdict = "ENTANGLED" if ppt["A-BC"] == "false" else "SEPARABLE"
     return cert

@@ -12,22 +12,19 @@ in, looked up in the family module at call time.
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .certificate import Certificate
 from .linalg import (DEFAULT_TOL, ContractError, check_dense, classify,
                      finite_number, integer)
-from .twirl import PERMS
 
 TP_TOL = 1e-12
 GRID = 16  # default witness grid of both decision functions and --grid
 
-# CYCLES[s, t] is the number of cycles of PERMS[s] o PERMS[t], so that
-# Tr(X_s X_t) = d^CYCLES[s, t] for X = V, and for X = T as well because
+PERMS = ("e", "12", "13", "23", "123", "132")
+# CYCLES[s][t] is the number of cycles of PERMS[s] o PERMS[t], so that
+# Tr(X_s X_t) = d^CYCLES[s][t] for X = V, and for X = T as well because
 # partial transposition preserves Tr(XY).
-CYCLES = np.array([[3, 2, 2, 2, 1, 1], [2, 3, 1, 1, 2, 2],
-                   [2, 1, 3, 1, 2, 2], [2, 1, 1, 3, 2, 2],
-                   [1, 2, 2, 2, 1, 3], [1, 2, 2, 2, 3, 1]])
+CYCLES = ((3, 2, 2, 2, 1, 1), (2, 3, 1, 1, 2, 2), (2, 1, 3, 1, 2, 2),
+          (2, 1, 1, 3, 2, 2), (1, 2, 2, 2, 1, 3), (1, 2, 2, 2, 3, 1))
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,9 @@ class Coeffs:
     """Coefficients over a six-operator S3-indexed basis with the Hermitian
     reality pattern: a_e, a_12, a_13, a_23 real (stored as float), a_123
     complex, a_132 = conj(a_123) (never stored), d an int.  Subclasses set
-    MIN_D, the least d at which the family's coefficients are valid."""
+    MIN_D, the family's least d, and margins6(d, t), its positivity slacks
+    (all linear but the last, quadratic one) on a tuple6: the as_tuple6
+    layout in plain floats, the form of a witness catalogue row."""
 
     d: int
     a_e: float
@@ -70,15 +69,18 @@ class Coeffs:
         return (self.a_e, self.a_12, self.a_13, self.a_23, self.r, self.s)
 
     def vector(self):
-        """Length-6 complex coefficient vector ordered as PERMS."""
+        """The six coefficients ordered as PERMS."""
         q = self.a_123
-        return np.array([self.a_e, self.a_12, self.a_13, self.a_23,
-                         q, q.conjugate()])
+        return (self.a_e, self.a_12, self.a_13, self.a_23, q, q.conjugate())
+
+    @staticmethod
+    def scale6(d, t):
+        """The boundary-rule scale of a tuple6: the largest |a_sigma|."""
+        return max(abs(t[0]), abs(t[1]), abs(t[2]), abs(t[3]),
+                   abs(complex(t[4], t[5])))
 
     def scale(self):
-        """The boundary-rule scale: the largest |a_sigma|."""
-        return max(abs(self.a_e), abs(self.a_12), abs(self.a_13),
-                   abs(self.a_23), abs(self.a_123))
+        return self.scale6(self.d, self.as_tuple6())
 
     def scale_by(self, f):
         return type(self)(self.d, f * self.a_e, f * self.a_12, f * self.a_13,
@@ -114,9 +116,9 @@ def signed_root(A, B, C, sign):
     return sgn, sgn * math.sqrt(max(A * B - C * C, 0.0))
 
 
-def extremal(cls, d, type_name, params, sign, tup, is_positive):
-    """Normalize the raw coefficient tuple of a map to trace preservation
-    and check it with the family's is_positive."""
+def realize(cls, d, type_name, params, tup):
+    """The raw tuple6 of a map of family cls normalized to trace
+    preservation; ContractError unless it passes cls's margins6."""
     ae, a12, a13, a23, r, s = tup
     norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
     if norm <= TP_TOL:
@@ -124,19 +126,18 @@ def extremal(cls, d, type_name, params, sign, tup, is_positive):
             f"degenerate trace-preservation normalizer for Type {type_name} "
             f"params {params}")
     f = 1.0 / norm
-    realized = cls(d, f * ae, f * a12, f * a13, f * a23,
-                   complex(f * r, f * s))
-    if not is_positive(realized):
+    t = (f * ae, f * a12, f * a13, f * a23, f * r, f * s)
+    if not positive6(cls, d, t):
         raise ContractError(
             f"Type {type_name} tuple failed the positivity inequalities")
-    return Extremal(type_name, params, sign, realized)
+    return t
 
 
-def margins_ok(margins, scale, tol=DEFAULT_TOL):
-    """Boundary-rule test of positivity margins: every margin but the last
-    is linear in the coefficients, the last one is quadratic."""
-    return (classify(min(margins[:-1]), scale, tol) != "false"
-            and classify(margins[-1], scale, tol, degree=2) != "false")
+def positive6(cls, d, t, tol=DEFAULT_TOL):
+    """Boundary-rule test of cls's positivity margins on a tuple6."""
+    m, scale = cls.margins6(d, t), cls.scale6(d, t)
+    return (classify(min(m[:-1]), scale, tol) != "false"
+            and classify(m[-1], scale, tol, degree=2) != "false")
 
 
 def ppt_verdicts(margins, c: Coeffs, tol=DEFAULT_TOL):
@@ -148,8 +149,9 @@ def ppt_verdicts(margins, c: Coeffs, tol=DEFAULT_TOL):
 def invariant_matrix(c: Coeffs, build_op):
     """X = sum_sigma a_sigma X_sigma on (C^d)^3, X_sigma = build_op(sigma, d)."""
     check_dense(c.d**3)
-    out = np.zeros((c.d**3, c.d**3), dtype=complex)
-    for wi, s in zip(c.vector(), PERMS):
+    v = c.vector()
+    out = v[0] * build_op(PERMS[0], c.d)
+    for wi, s in zip(v[1:], PERMS[1:]):
         if wi != 0:
             out += wi * build_op(s, c.d)
     return out
@@ -160,35 +162,48 @@ def state_check(c: Coeffs, is_cp, tol=DEFAULT_TOL):
     error of the trace grows with the largest raw |a_sigma|, so its bound
     does too."""
     tr = c.trace()
-    bound = tol.eq_tol * c.d**3 * max(1.0, Coeffs.scale(c))
+    bound = tol.eq_tol * c.d**3 * max(1.0, Coeffs.scale6(c.d, c.as_tuple6()))
     if not abs(tr - 1.0) <= bound:
         raise ContractError(f"trace {tr} != 1: not a normalized state")
     if not is_cp(c, tol):
         raise ContractError("coefficient matrix is not PSD: not a state")
 
 
-def extremal_grid(extremal_fn, types, d, grid):
-    """Extremals of the given continuous types over a compact (A-B, C, sign)
-    grid at A+B=1; grid points the closed forms reject are skipped."""
+def linspace(lo, hi, n):
+    """n >= 2 floats from lo to hi, equal bit for bit to np.linspace's:
+    i * step + lo, the last one hi."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
+def grid_points(grid):
+    """(A, B, C, sign) over a compact (A-B, C, sign) grid at A+B=1."""
     grid = integer(grid, "witness grid", 2, ContractError)
-    for u in np.linspace(-1.0, 1.0, grid):
+    for u in linspace(-1.0, 1.0, grid):
         A, B = (1 + u) / 2, (1 - u) / 2
-        cmax = np.sqrt(A * B)
-        for C in np.linspace(-cmax, cmax, grid):
-            for sign in (+1, -1):
-                for t in types:
-                    try:
-                        ex = extremal_fn(t, A, B, C, sign, d)
-                    except ContractError:
-                        continue
-                    yield ex
+        cmax = math.sqrt(A * B)
+        for C in linspace(-cmax, cmax, grid):
+            yield A, B, C, +1
+            yield A, B, C, -1
 
 
-def grid_rows(extremal_fn, types, d, grid):
-    """Catalogue rows (id, coefficient vector) of extremal_grid."""
-    return [(f"{ex.type}[{ex.params[0]:.4f},{ex.params[1]:.4f},"
-             f"{ex.params[2]:.4f},{ex.sign:+d}]", ex.realized.vector())
-            for ex in extremal_grid(extremal_fn, types, d, grid)]
+def extremal_grid(extremal_fn, types, d, grid):
+    """Extremals of the given continuous types over grid_points; grid
+    points the closed forms reject are skipped."""
+    for A, B, C, sign in grid_points(grid):
+        for t in types:
+            try:
+                yield extremal_fn(t, A, B, C, sign, d)
+            except ContractError:
+                pass
+
+
+def grid_rows(realize_fn, types, d, grid):
+    """Rows (id, tuple6) of extremal_grid, realize_fn -> (sign, tuple6)."""
+    def row(t, A, B, C, sign, d):
+        tup = realize_fn(t, A, B, C, sign, d)[1]
+        return f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]", tup
+    return list(extremal_grid(row, types, d, grid))
 
 
 def certificate(family, c: Coeffs, tol) -> Certificate:
@@ -211,13 +226,22 @@ def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):
     """
     d = c.d
     v = c.vector()
-    g = (float(d) ** CYCLES) @ v
-    omega = g / d
-    traces = np.array([d * g[0], g[0], g[0], d * g[3], g[3], g[3]])
-    alpha = (traces - omega) / (d * d - 1)
-    w = np.array([row for _, row in rows])
-    mins = (w @ np.stack([alpha, omega], axis=1)).real.min(axis=1)
-    lo = float(mins.min())
-    verdict = classify(lo, float(np.sqrt(max((v @ g).real, 0.0))), tol)
+    g = [sum(d**k * x for k, x in zip(row, v)) for row in CYCLES[:5]]
+    # g_132 = conj(g_123), so w . g = kg . tuple6(w) for every w ordered
+    # as PERMS: each eigenvalue of a row's image is six real multiply-adds.
+    kg = (g[0].real, g[1].real, g[2].real, g[3].real, 2 * g[4].real,
+          -2 * g[4].imag)
+    o0, o1, o2, o3, o4, o5 = omega = [k / d for k in kg]
+    traces = (d * kg[0], kg[0], kg[0], d * kg[3], 2 * kg[3], 0.0)
+    a0, a1, a2, a3, a4, a5 = [(t - o) / (d * d - 1)
+                              for t, o in zip(traces, omega)]
+    mins = []
+    for _, (e, x, y, z, r, s) in rows:
+        p = e * a0 + x * a1 + y * a2 + z * a3 + r * a4 + s * a5
+        q = e * o0 + x * o1 + y * o2 + z * o3 + r * o4 + s * o5
+        mins.append(p if p < q else q)
+    lo = min(mins)
+    vg = sum(k * t for k, t in zip(kg, c.as_tuple6()))
+    verdict = classify(lo, math.sqrt(max(vg, 0.0)), tol)
     cert.add_check("witness_sweep", verdict, count=len(rows), min_eig=lo)
     return mins, verdict != "false"

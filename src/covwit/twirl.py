@@ -13,10 +13,10 @@ import numpy as np
 from .linalg import (ContractError, DimensionError, NumericalError, asmatrix,
                      check_dense, flip, identity, integer)
 from .choi import max_entangled
+from .s3 import PERMS
 
 GRAM_COND_LIMIT = 1e12
 
-PERMS = ("e", "12", "13", "23", "123", "132")
 # images of (1,2,3) under each permutation, 0-indexed
 PERM_IMAGES = {
     "e": (0, 1, 2),

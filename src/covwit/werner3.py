@@ -28,6 +28,15 @@ class S3Coeffs(s3.Coeffs):
 
     MIN_D = 3
 
+    @staticmethod
+    def margins6(d, t):
+        """Slacks of the closed-form positivity inequalities (all >= 0 iff
+        the associated map is positive iff L(e_11) is PSD)."""
+        ae, a12, a13, a23, r, s = t
+        return (ae + a12, ae + a13, ae - abs(a23),
+                ae + a12 + a13 + a23 + 2 * r,
+                (ae + a12) * (ae + a13) - abs(complex(a23 + r, s)) ** 2)
+
 
 @dataclass(frozen=True)
 class Table2Block:
@@ -81,20 +90,11 @@ def invariant_matrix(c: S3Coeffs):
 
 
 def positivity_margins_w3(c: S3Coeffs):
-    """Slacks of the closed-form positivity inequalities (all >= 0 iff the
-    associated map is positive iff L(e_11) is PSD)."""
-    ae, a12, a13, a23, r, _ = c.as_tuple6()
-    return (
-        ae + a12,
-        ae + a13,
-        ae - abs(a23),
-        ae + a12 + a13 + a23 + 2 * r,
-        (ae + a12) * (ae + a13) - abs(a23 + c.a_123) ** 2,
-    )
+    return S3Coeffs.margins6(c.d, c.as_tuple6())
 
 
 def is_positive_w3(c: S3Coeffs, tol=DEFAULT_TOL):
-    return s3.margins_ok(positivity_margins_w3(c), c.scale(), tol)
+    return s3.positive6(S3Coeffs, c.d, c.as_tuple6(), tol)
 
 
 def F_iso(c: s3.Coeffs) -> Table2Block:
@@ -150,8 +150,8 @@ def ppt_w3(c: S3Coeffs, tol=DEFAULT_TOL):
             for part, v in s3.ppt_verdicts(ppt_margins_w3(c), c, tol).items()}
 
 
-def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> s3.Extremal:
-    """Extremal trace-preserving positive covariant map of Type I/II/III."""
+def _realize_w3(type_name, A, B, C, sign, d):
+    """(sign as +-1, the s3.realize tuple6) of a Type I/II/III map."""
     if type_name not in ("I", "II", "III"):
         raise ContractError(f"unknown extremal type {type_name!r}")
     if type_name != "I":
@@ -165,8 +165,13 @@ def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> s3.Extremal:
         tup = ((A + B + 2 * C) / 2, (A - B - 2 * C) / 2,
                (-A + B - 2 * C) / 2, (A + B + 2 * C) / 2,
                -(A + B) / 2, ss)
-    return s3.extremal(S3Coeffs, d, type_name, (A, B, C), sgn, tup,
-                       is_positive_w3)
+    return sgn, s3.realize(S3Coeffs, d, type_name, (A, B, C), tup)
+
+
+def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> s3.Extremal:
+    """Extremal trace-preserving positive covariant map of Type I/II/III."""
+    sgn, t = _realize_w3(type_name, A, B, C, sign, d)
+    return s3.Extremal(type_name, (A, B, C), sgn, S3Coeffs.from_tuple6(d, t))
 
 
 def witness_L0(d) -> S3Coeffs:
@@ -212,11 +217,11 @@ def t_max(d=3):
 
 
 def _witness_coeff_grid(d, grid):
-    """Coefficient vectors (ordered as PERMS) of the witness family: L0,
-    Type I, and Types II/III over a compact (A-B, C, sign) grid at A+B=1."""
-    return ([("L0", witness_L0(d).vector()),
-             ("I", extremal_w3("I", d=d).realized.vector())]
-            + s3.grid_rows(extremal_w3, ("II", "III"), d, grid))
+    """Rows (id, tuple6) of the witness family: L0, Type I, and Types II/III
+    over s3.grid_points."""
+    return ([("L0", witness_L0(d).as_tuple6()),
+             ("I", extremal_w3("I", d=d).realized.as_tuple6())]
+            + s3.grid_rows(_realize_w3, ("II", "III"), d, grid))
 
 
 def state_check(c: S3Coeffs, tol=DEFAULT_TOL):
@@ -241,11 +246,10 @@ def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
 
     rows = _witness_coeff_grid(c.d, grid)
     mins, ok = s3.witness_sweep(cert, c, rows, tol)
-    worst = int(mins.argmin())
-    cert.witnesses.append({"id": rows[0][0], "min_eig": float(mins[0])})
+    worst = mins.index(min(mins))
+    cert.witnesses.append({"id": rows[0][0], "min_eig": mins[0]})
     if worst != 0:
-        cert.witnesses.append({"id": rows[worst][0],
-                               "min_eig": float(mins[worst])})
+        cert.witnesses.append({"id": rows[worst][0], "min_eig": mins[worst]})
     if not ok:
         cert.verdict = "ENTANGLED"
     elif "false" in ppt.values():

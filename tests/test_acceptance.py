@@ -362,7 +362,8 @@ def test_criterion_09_quo_extremals_and_ppt_states():
         np.stack([quo.build_M(s, d).adjoint().id_tensor(t, d)
                   for t in ts]) for s in PERMS])  # (6, 6, d^2, d^2)
     wit = quo._witness_rows(d, grid=4)
-    wvec = np.array([v for _, v in wit])
+    wvec = np.array([quo.QuoCoeffs.from_tuple6(d, t).vector()
+                     for _, t in wit])
     worst = 0.0
     for s in range(0, len(svec), 500):
         z = np.einsum("nt,stij->nsij", svec[s:s + 500], kmat)

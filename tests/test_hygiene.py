@@ -1,5 +1,5 @@
 """Every module under src/covwit, tests and demos uses each name it
-imports."""
+imports, and the closed-form modules import no numpy."""
 
 import ast
 from pathlib import Path
@@ -33,3 +33,23 @@ def test_no_unused_imports():
              for d in DIRS for path in sorted((ROOT / d).rglob("*.py"))
              for line, name in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+# Modules whose decisions are closed forms on plain numbers.
+NUMPY_FREE = ("s3", "werner3", "quo", "certificate")
+
+
+def test_closed_form_modules_import_no_numpy():
+    found = []
+    for name in NUMPY_FREE:
+        path = ROOT / "src/covwit" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno}: {m}" for m in mods
+                      if m.split(".")[0] == "numpy"]
+    assert not found, "numpy imports:\n" + "\n".join(found)

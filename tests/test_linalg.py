@@ -124,6 +124,21 @@ def test_partial_transpose_errors():
         partial_transpose(np.eye(6), [2, 2], 0)
     with pytest.raises(DimensionError):
         partial_transpose(np.eye(4), [2, 2], 2)
+    y = partial_transpose(np.eye(4), [np.int64(2), 2], np.int32(1))
+    assert np.array_equal(y, np.eye(4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: partial_transpose(np.eye(4), [2.0, 2], 0),
+    lambda: partial_transpose(np.eye(4), [2, 2], 1.0),
+    lambda: partial_transpose(np.eye(4), [2, 2], True),
+    lambda: hh.counterexample_vector(4, 3.0),
+], ids=["dims-float", "which-float", "which-bool", "counterexample-d-float"])
+def test_integer_arguments_are_contract_errors(call):
+    """Dimensions and factor indices go through the integer rule: a float
+    or a bool is a ContractError, not numpy's TypeError or a silent 1."""
+    with pytest.raises(ContractError):
+        call()
 
 
 def test_check_hermitian_rejects():

@@ -4,6 +4,7 @@ coefficient format fixed at construction, and the integer rule at every
 constructor that takes a dimension or a grid."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from covwit import hh, linalg, quo, s3, serialize, twirl, werner3
 from covwit.choi import LinMap
 from covwit.linalg import (DEFAULT_TOL, ContractError, DimensionError,
                            partial_transpose)
-from covwit.twirl import PERMS
+from covwit.s3 import PERMS
 
 # family -> (module, coefficient class, witness basis maps, catalogue)
 FAMILIES = {
@@ -28,13 +29,14 @@ unit = st.floats(-1.0, 1.0, allow_nan=False)
 six = st.tuples(*[unit] * 6)
 
 
-def dense_minima(mod, build_one, c, rows):
+def dense_minima(mod, build_one, c, ws):
     """Smallest eigenvalue of sum_sigma w_sigma (id (x) X_sigma*)(rho) for
-    every row w, from the dense images; also returns ||rho||_F."""
+    every coefficient vector w (ordered as PERMS), from the dense images;
+    also returns ||rho||_F."""
     rho = mod.invariant_matrix(c)
     ks = np.array([build_one(s, c.d).adjoint().id_tensor(rho, c.d)
                    for s in PERMS])
-    outs = np.tensordot(np.array([w for _, w in rows]), ks, axes=([1], [0]))
+    outs = np.tensordot(np.array(ws), ks, axes=([1], [0]))
     outs = (outs + np.conj(np.swapaxes(outs, 1, 2))) / 2
     return np.linalg.eigvalsh(outs)[:, 0], float(np.linalg.norm(rho))
 
@@ -60,14 +62,54 @@ def test_witness_sweep_matches_dense_images(case, v, state, shrink, extra):
     c = as_state(cls, d, v, shrink) if state else cls.from_tuple6(d, v)
     if state:
         mod.state_check(c)
-    rows = catalogue(d, 4) + [
-        ("random", cls.from_tuple6(d, w).vector()) for w in extra]
+    rows = catalogue(d, 4) + [("random", w) for w in extra]
     cert = s3.certificate(family, c, DEFAULT_TOL)
     mins, _ = s3.witness_sweep(cert, c, rows, DEFAULT_TOL)
-    want, norm = dense_minima(mod, build_one, c, rows)
-    for (_, w), got, ref in zip(rows, mins, want):
+    ws = [cls.from_tuple6(d, t).vector() for _, t in rows]
+    want, norm = dense_minima(mod, build_one, c, ws)
+    for w, got, ref in zip(ws, mins, want):
         assert abs(got - ref) <= 1e-12 * max(1.0, norm * np.linalg.norm(w))
     assert cert.checks["witness_sweep"]["evidence"]["count"] == len(rows)
+
+
+def _fixed_rows_and_grid(family, d):
+    """The catalogue's fixed (id, Coeffs) rows, its extremal_fn and the
+    types it sweeps over the grid."""
+    if family == "werner3":
+        return ([("L0", werner3.witness_L0(d)),
+                 ("I", werner3.extremal_w3("I", d=d).realized)],
+                werner3.extremal_w3, ("II", "III"))
+    if d >= 3:
+        return ([(t, quo.extremal_quo(t, d=d).realized) for t in ("I", "II")],
+                quo.extremal_quo, ("III", "IV"))
+    return [], quo.extremal_quo, ("I'", "II'")
+
+
+@pytest.mark.parametrize("grid", [2, 3, 16])
+@pytest.mark.parametrize("case", [("werner3", d) for d in (3, 4, 5)]
+                         + [("quo", d) for d in (2, 3, 4, 5)])
+def test_catalogue_rows_are_the_public_extremals(case, grid):
+    """One path: every catalogue row is ex.realized.as_tuple6() of the
+    extremal the public extremal_* makes at that grid point, in order."""
+    family, d = case
+    fixed, extremal_fn, types = _fixed_rows_and_grid(family, d)
+    want = [(i, c.as_tuple6()) for i, c in fixed] + [
+        (f"{ex.type}[{ex.params[0]:.4f},{ex.params[1]:.4f},"
+         f"{ex.params[2]:.4f},{ex.sign:+d}]", ex.realized.as_tuple6())
+        for ex in s3.extremal_grid(extremal_fn, types, d, grid)]
+    assert FAMILIES[family][3](d, grid) == want
+
+
+@settings(max_examples=200)
+@given(n=st.integers(2, 300), m=st.integers(2, 300), i=st.integers(0, 299))
+def test_grid_points_are_np_linspace_bit_for_bit(n, m, i):
+    """The catalogue's u range [-1, 1] and, at the i-th u of an m-point
+    grid, its C range [-cmax, cmax]."""
+    u = s3.linspace(-1.0, 1.0, m)[i % m]
+    cmax = math.sqrt((1 + u) / 2 * ((1 - u) / 2))
+    for lo, hi in ((-1.0, 1.0), (-cmax, cmax)):
+        got = np.array(s3.linspace(lo, hi, n))
+        assert got.tobytes() == np.linspace(lo, hi, n).tobytes()
 
 
 def _relabeled_G(tau):
