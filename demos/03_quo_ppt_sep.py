@@ -43,5 +43,5 @@ for d in (2, 3):
 print("Extremal positive maps of this family are all CP or CCP,")
 print("which is exactly why PPT and separability coincide:")
 for t in ("I", "II", "III", "IV"):
-    r = quo.extremal_quo(t, 0.6, 0.4, 0.2, 1, 3).realized
+    r = quo.extremal_quo(t, 0.6, 0.4, 0.2, 1, 3)
     print(f"  Type {t:<3} -> CP: {quo.is_cp_quo(r)}, CCP: {quo.is_ccp_quo(r)}")

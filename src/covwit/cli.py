@@ -29,12 +29,8 @@ def parse_number(text):
 
 
 def parse_coeffs(text):
-    """Six comma-separated numbers ae,a12,a13,a23,re123,im123."""
-    parts = [parse_number(p) for p in text.split(",")]
-    if len(parts) != 6:
-        raise ContractError(
-            f"--coeffs needs 6 comma-separated values, got {len(parts)}")
-    return parts
+    """Comma-separated numbers: from_tuple6 takes ae,a12,a13,a23,re,im."""
+    return [parse_number(p) for p in text.split(",")]
 
 
 def make_tol(args):

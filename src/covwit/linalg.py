@@ -162,11 +162,22 @@ def band(scale, tol=DEFAULT_TOL, degree=1):
 
 
 def classify(margin, scale, tol=DEFAULT_TOL, degree=1):
-    """The verdict "false", "boundary" or "true" of a margin."""
+    """The verdict "false", "boundary" or "true" of a margin; a margin or
+    scale that is not finite comes from an overflow: NumericalError."""
+    if not (cmath.isfinite(margin) and cmath.isfinite(scale)):
+        raise NumericalError(f"margin {margin} at scale {scale} is not finite")
     b = band(scale, tol, degree)
     if margin < -b:
         return "false"
     return "boundary" if margin <= b else "true"
+
+
+def least(values):
+    """min of a sequence of margins; NumericalError if one is NaN, which
+    min would keep or drop by where it sits."""
+    if cmath.isnan(sum(values)):
+        raise NumericalError("a margin is NaN: its closed form overflowed")
+    return min(values)
 
 
 def is_psd(x, tol=DEFAULT_TOL):

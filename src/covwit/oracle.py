@@ -230,8 +230,7 @@ def selftest(seed=0, level="quick", out=print):
         bad = 0
         for d in (2, 3):
             types = ("III", "IV") if d == 3 else ("I'", "II'")
-            for ex in s3.extremal_grid(quo.extremal_quo, types, d, grid):
-                r = ex.realized
+            for r in s3.extremal_grid(quo.extremal_quo, types, d, grid):
                 if not (quo.is_cp_quo(r) or quo.is_ccp_quo(r)):
                     bad += 1
         return bad == 0, f"{bad} non-CP-non-CCP extremals"

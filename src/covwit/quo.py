@@ -3,13 +3,13 @@ partially transposed permutation operators T_sigma = V_sigma^{T_B} and the
 dual covariant maps M_sigma = (T (x) id) o L_sigma.
 
 For this family A-BC PPT and A-BC separability coincide in every dimension;
-CP, CCP and the partial-transpose verdicts are the tripartite-Werner block
-forms of S3-conjugation relabelings of the raw coefficients, at every d.  At
-d = 2 the T_sigma obey one linear relation; the block forms leave out the one
-summand it touches, and only positivity folds it in, through reduce_d2.
+CP, CCP and the partial-transpose verdicts are the block forms s3.block
+picks for the T basis, at every d.  At d = 2 the T_sigma obey one linear
+relation; the summands it touches have multiplicity 0 in the block forms,
+and only positivity folds it in, through reduce_d2.
 """
 
-from . import s3, werner3
+from . import s3
 from .certificate import Certificate
 from .choi import LinMap
 from .linalg import DEFAULT_TOL, ContractError
@@ -22,6 +22,7 @@ class QuoCoeffs(s3.Coeffs):
     folded into the others by reduce_d2."""
 
     MIN_D = 2
+    TRANSPOSED = "B"
 
     @staticmethod
     def scale6(d, t):
@@ -79,40 +80,26 @@ def is_positive_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
 
 def is_cp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     """CP of M / PSD-ness of sum a_sigma T_sigma."""
-    return werner3.is_ccp_w3(werner3.relabel(c, "12"), tol)
+    return s3.classify_cut(c, "", tol)[0] != "false"
 
 
 def is_ccp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     """CCP of M / PSD-ness of (sum a_sigma T_sigma)^{T_A}."""
-    return werner3.is_ccp_w3(werner3.relabel(c, "13"), tol)
-
-
-def ppt_margins_quo(c: QuoCoeffs):
-    """Least eigenvalue of each partial transpose of rho = sum a_sigma T_sigma.
-
-    A-BC is the CCP condition; B-AC transposes away the built-in T_B, leaving
-    PSD-ness of the V-combination; C-AB is the global transpose of the
-    A-partial-transposed V-combination.
-    """
-    return {
-        "A-BC": werner3.G_iso(werner3.relabel(c, "13")).min_margin(),
-        "B-AC": werner3.F_iso(c).min_margin(),
-        "C-AB": werner3.G_iso(c).min_margin(),
-    }
+    return s3.classify_cut(c, "A", tol)[0] != "false"
 
 
 def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
     """Partial-transpose verdicts for the state rho = sum a_sigma T_sigma."""
-    return {part: v != "false"
-            for part, v in s3.ppt_verdicts(ppt_margins_quo(c), c, tol).items()}
+    return {part: s3.classify_cut(c, part[0], tol)[0] != "false"
+            for part in s3.CUTS}
 
 
 def _realize_quo(type_name, A, B, C, sign, d):
-    """(sign as +-1, the s3.realize tuple6) of a map of Type I-IV for
-    d >= 3, Type I'/II' for d = 2, where they take the tuples of III/IV."""
+    """The s3.realize tuple6 of a map of Type I-IV for d >= 3, Type I'/II'
+    for d = 2, where they take the tuples of III/IV."""
     if type_name in ("III", "IV", "I'", "II'"):
         s3.check_params(A, B, C)
-    sgn, ss = s3.signed_root(A, B, C, sign)
+    ss = s3.signed_root(A, B, C, sign)
     if type_name not in (("I", "II", "III", "IV") if d >= 3
                          else ("I'", "II'")):
         raise ContractError(f"unknown extremal type {type_name!r} for "
@@ -125,27 +112,20 @@ def _realize_quo(type_name, A, B, C, sign, d):
         tup = (0.0, A + B - 2 * C, 0.0, B, C - B, ss)
     else:
         tup = (0.0, 0.0, A + B - 2 * C, B, C - B, ss)
-    return sgn, s3.realize(QuoCoeffs, d, type_name, (A, B, C), tup)
+    return s3.realize(QuoCoeffs, d, type_name, (A, B, C), tup)
 
 
-def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1,
-                 d=3) -> s3.Extremal:
-    """Extremal trace-preserving positive covariant map; Types I-IV for
-    d >= 3, Types I'/II' for d = 2."""
-    sgn, t = _realize_quo(type_name, A, B, C, sign, d)
-    return s3.Extremal(type_name, (A, B, C), sgn, QuoCoeffs.from_tuple6(d, t))
-
-
-def state_check(c: QuoCoeffs, tol=DEFAULT_TOL):
-    """Raise unless the coefficients describe a quantum state."""
-    s3.state_check(c, is_cp_quo, tol)
+def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> QuoCoeffs:
+    """Coefficients of the extremal trace-preserving positive covariant
+    map; Types I-IV for d >= 3, Types I'/II' for d = 2."""
+    return QuoCoeffs.from_tuple6(d, _realize_quo(type_name, A, B, C, sign, d))
 
 
 def _witness_rows(d, grid):
     """Catalogue rows (id, tuple6): Types I and II, then III/IV over
     s3.grid_points; at d = 2 only I'/II' over the grid."""
     if d >= 3:
-        rows = [(t, extremal_quo(t, d=d).realized.as_tuple6())
+        rows = [(t, extremal_quo(t, d=d).as_tuple6())
                 for t in ("I", "II")]
         return rows + s3.grid_rows(_realize_quo, ("III", "IV"), d, grid)
     return s3.grid_rows(_realize_quo, ("I'", "II'"), d, grid)
@@ -158,16 +138,10 @@ def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
     A-partial transpose, read off its block form, and a sweep over extremal
     witnesses of every type are recorded as confirming evidence.
     """
-    state_check(c, tol)
-    cert = s3.certificate("quo", c, tol)
-
-    margins = ppt_margins_quo(c)
-    ppt = s3.ppt_verdicts(margins, c, tol)
-    cert.add_check("ppt_A-BC", ppt["A-BC"], pt_min_eig=margins["A-BC"])
-    for part in ("B-AC", "C-AB"):
-        cert.add_check(f"ppt_{part}", ppt[part], margin=margins[part])
-    cert.add_check("separable_A-BC", ppt["A-BC"], margin=margins["A-BC"])
-
+    cert, ppt = s3.open_certificate("quo", c, is_cp_quo, tol)
+    ev = cert.checks["ppt_A-BC"]["evidence"]
+    ev["pt_min_eig"] = ev.pop("margin")
+    cert.add_check("separable_A-BC", ppt["A-BC"], margin=ev["pt_min_eig"])
     rows = _witness_rows(c.d, grid)
     mins, _ = s3.witness_sweep(cert, c, rows, tol)
     worst = mins.index(min(mins))

@@ -2,19 +2,20 @@
 
 U(x)U(x)U-invariant operators (werner3) are spanned by the six permutation
 operators V_sigma, U(x)Ubar(x)U-invariant ones (quo) by T_sigma =
-V_sigma^{T_B}.  Both families store the same six coefficients, normalize
-extremal maps the same way and sweep the same witness catalogue; this module
-holds that common part.  Everything basis-specific (the operator builders,
-closed forms and verdict rules) stays in werner3.py and quo.py and is passed
-in, looked up in the family module at call time.
+V_sigma^{T_B}.  Both families store the same six coefficients, answer every
+PSD question (state, CP, CCP, each partial transpose) with the two block
+forms of the V_sigma algebra that block(c, cut) picks, normalize extremal
+maps the same way and sweep the same witness catalogue.  The operator
+builders, positivity margins and extremal types stay in werner3.py and quo.py.
 """
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 
 from .certificate import Certificate
-from .linalg import (DEFAULT_TOL, ContractError, check_dense, classify,
-                     finite_number, integer)
+from .linalg import (DEFAULT_TOL, ContractError, NumericalError, check_dense,
+                     classify, finite_number, integer, least)
 
 TP_TOL = 1e-12
 GRID = 16  # default witness grid of both decision functions and --grid
@@ -25,6 +26,8 @@ PERMS = ("e", "12", "13", "23", "123", "132")
 # partial transposition preserves Tr(XY).
 CYCLES = ((3, 2, 2, 2, 1, 1), (2, 3, 1, 1, 2, 2), (2, 1, 3, 1, 2, 2),
           (2, 1, 1, 3, 2, 2), (1, 2, 2, 2, 1, 3), (1, 2, 2, 2, 3, 1))
+CUTS = ("A-BC", "B-AC", "C-AB")  # the bipartitions; the first factor is cut
+OMEGA = cmath.exp(2j * cmath.pi / 3)
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,8 @@ class Coeffs:
     """Coefficients over a six-operator S3-indexed basis with the Hermitian
     reality pattern: a_e, a_12, a_13, a_23 real (stored as float), a_123
     complex, a_132 = conj(a_123) (never stored), d an int.  Subclasses set
-    MIN_D, the family's least d, and margins6(d, t), its positivity slacks
+    MIN_D, the family's least d, TRANSPOSED, the factors its basis
+    transposes off V_sigma, and margins6(d, t), its positivity slacks
     (all linear but the last, quadratic one) on a tuple6: the as_tuple6
     layout in plain floats, the form of a witness catalogue row."""
 
@@ -53,9 +57,14 @@ class Coeffs:
 
     @classmethod
     def from_tuple6(cls, d, v):
-        """From (a_e, a_12, a_13, a_23, re a_123, im a_123)."""
-        return cls(d, *v[:4], complex(finite_number(v[4], "re_123"),
-                                      finite_number(v[5], "im_123")))
+        """From exactly six values (a_e, a_12, a_13, a_23, re a_123,
+        im a_123); anything else is a ContractError."""
+        try:
+            ae, a12, a13, a23, re, im = v
+        except (TypeError, ValueError):
+            raise ContractError(f"need six coefficients, got {v!r}") from None
+        return cls(d, ae, a12, a13, a23, complex(
+            finite_number(re, "re_123"), finite_number(im, "im_123")))
 
     @property
     def r(self):
@@ -79,9 +88,6 @@ class Coeffs:
         return max(abs(t[0]), abs(t[1]), abs(t[2]), abs(t[3]),
                    abs(complex(t[4], t[5])))
 
-    def scale(self):
-        return self.scale6(self.d, self.as_tuple6())
-
     def scale_by(self, f):
         return type(self)(self.d, f * self.a_e, f * self.a_12, f * self.a_13,
                           f * self.a_23, f * self.a_123)
@@ -95,13 +101,96 @@ class Coeffs:
 
 
 @dataclass(frozen=True)
-class Extremal:
-    """An extremal trace-preserving positive covariant map."""
+class Table2Block:
+    """Image of an invariant operator in the C (+) C (+) M_2(C) picture:
+    the operator's spectrum is s1, s2 and the two eigenvalues of the
+    Hermitian block [[b00, b01], [conj(b01), b11]], with multiplicities
+    mult = (m1, m2, m_block) each, m1 + m2 + 2 m_block = d^3."""
 
-    type: str           # werner3: "I".."III"; quo: "I".."IV", d = 2: "I'", "II'"
-    params: tuple       # (A, B, C)
-    sign: int
-    realized: Coeffs
+    s1: float
+    s2: float
+    b00: float
+    b11: float
+    b01: complex
+    mult: tuple
+
+    def min_margin(self):
+        """The least eigenvalue of the operator, of nonzero multiplicity;
+        the block's is (b00 + b11)/2 - hypot((b00 - b11)/2, |b01|)."""
+        lo = ((self.b00 + self.b11) / 2
+              - math.hypot((self.b00 - self.b11) / 2, abs(self.b01)))
+        return least([v for v, m in zip((self.s1, self.s2, lo), self.mult)
+                      if m])
+
+
+def F_iso(c: Coeffs) -> Table2Block:
+    """Block image of X = sum a_sigma V_sigma: s1 on Sym^3 C^d, s2 on
+    Lambda^3 C^d, the block on the two copies of the mixed irrep."""
+    d = c.d
+    ae, a12, a13, a23, r, _ = c.as_tuple6()
+    q = c.a_123
+    qb = q.conjugate()
+    w, wb = OMEGA, OMEGA.conjugate()
+    return Table2Block(ae + a12 + a13 + a23 + 2 * r,
+                       ae - (a12 + a13 + a23) + 2 * r,
+                       (ae + wb * q + w * qb).real,
+                       (ae + w * q + wb * qb).real,
+                       wb * a12 + w * a13 + a23,
+                       ((d + 2) * (d + 1) * d // 6, d * (d - 1) * (d - 2) // 6,
+                        d * (d * d - 1) // 3))
+
+
+def G_iso(c: Coeffs) -> Table2Block:
+    """Block image of X^{T_A}: s1 and s2 on the parts of Cbar^d (x)
+    Sym^2 C^d and Cbar^d (x) Lambda^2 C^d beyond one copy of C^d each, the
+    block on those two copies."""
+    d = c.d
+    ae, a12, a13, a23, r, s = c.as_tuple6()
+    y = math.sqrt(d * d - 1.0) / 2
+    return Table2Block(ae + a23, ae - a23,
+                       ae + a23 + (d + 1) / 2 * (a12 + a13 + 2 * r),
+                       ae - a23 + (d - 1) / 2 * (a12 + a13 - 2 * r),
+                       y * complex(a12 - a13, -2 * s),
+                       (d * (d - 1) * (d + 2) // 2, d * (d + 1) * (d - 2) // 2,
+                        d))
+
+
+def relabel(c: Coeffs, tau):
+    """Coefficients of X_tau X X_tau for X = V and T alike: b_sigma =
+    a_{tau sigma tau}, in the class of c."""
+    q = c.a_123
+    cls = type(c)
+    if tau == "12":
+        return cls(c.d, c.a_e, c.a_12, c.a_23, c.a_13, q.conjugate())
+    if tau == "13":
+        return cls(c.d, c.a_e, c.a_23, c.a_13, c.a_12, q.conjugate())
+    if tau == "23":
+        return cls(c.d, c.a_e, c.a_13, c.a_12, c.a_23, q.conjugate())
+    raise ContractError(f"relabel expects a transposition, got {tau!r}")
+
+
+def block(c: Coeffs, cut) -> Table2Block:
+    """The block form of X^{T_cut}, X = sum a_sigma X_sigma and cut a
+    subset of "ABC".  In the V basis that is the transpose of the factors
+    cut ^ c.TRANSPOSED, or of their complement, as a global transpose keeps
+    the spectrum; none is F_iso, one is G_iso after moving it to A."""
+    left = set(cut) ^ set(c.TRANSPOSED)
+    if len(left) >= 2:
+        left = set("ABC") - left
+    if not left:
+        return F_iso(c)
+    (f,) = left
+    return G_iso(c if f == "A" else relabel(c, "12" if f == "B" else "13"))
+
+
+def classify_cut(c: Coeffs, cut, tol=DEFAULT_TOL):
+    """(verdict, least eigenvalue) of X^{T_cut} by the boundary rule at
+    c's scale."""
+    try:
+        m, scale = block(c, cut).min_margin(), c.scale6(c.d, c.as_tuple6())
+    except OverflowError as exc:
+        raise NumericalError(f"the block form of cut {cut!r} overflows: {exc}")
+    return classify(m, scale, tol), m
 
 
 def check_params(A, B, C):
@@ -111,9 +200,9 @@ def check_params(A, B, C):
 
 
 def signed_root(A, B, C, sign):
-    """(sign as +-1, that sign times sqrt(AB - C^2))."""
-    sgn = 1 if sign >= 0 else -1
-    return sgn, sgn * math.sqrt(max(A * B - C * C, 0.0))
+    """sqrt(AB - C^2), negated if sign < 0."""
+    root = math.sqrt(max(A * B - C * C, 0.0))
+    return root if sign >= 0 else -root
 
 
 def realize(cls, d, type_name, params, tup):
@@ -135,15 +224,12 @@ def realize(cls, d, type_name, params, tup):
 
 def positive6(cls, d, t, tol=DEFAULT_TOL):
     """Boundary-rule test of cls's positivity margins on a tuple6."""
-    m, scale = cls.margins6(d, t), cls.scale6(d, t)
-    return (classify(min(m[:-1]), scale, tol) != "false"
+    try:
+        m, scale = cls.margins6(d, t), cls.scale6(d, t)
+    except OverflowError as exc:
+        raise NumericalError(f"the positivity margins overflow: {exc}")
+    return (classify(least(m[:-1]), scale, tol) != "false"
             and classify(m[-1], scale, tol, degree=2) != "false")
-
-
-def ppt_verdicts(margins, c: Coeffs, tol=DEFAULT_TOL):
-    """{partition: verdict} of partial-transpose margins at c's scale."""
-    s = c.scale()
-    return {part: classify(m, s, tol) for part, m in margins.items()}
 
 
 def invariant_matrix(c: Coeffs, build_op):
@@ -159,14 +245,28 @@ def invariant_matrix(c: Coeffs, build_op):
 
 def state_check(c: Coeffs, is_cp, tol=DEFAULT_TOL):
     """Raise unless the coefficients describe a quantum state.  The rounding
-    error of the trace grows with the largest raw |a_sigma|, so its bound
-    does too."""
+    error of the trace grows with the largest raw coefficient, so its bound
+    does too; it reads no |a_123|, which can overflow where its parts do not."""
     tr = c.trace()
-    bound = tol.eq_tol * c.d**3 * max(1.0, Coeffs.scale6(c.d, c.as_tuple6()))
+    bound = tol.eq_tol * c.d**3 * max(1.0, *map(abs, c.as_tuple6()))
     if not abs(tr - 1.0) <= bound:
         raise ContractError(f"trace {tr} != 1: not a normalized state")
     if not is_cp(c, tol):
         raise ContractError("coefficient matrix is not PSD: not a state")
+
+
+def open_certificate(family, c: Coeffs, is_cp, tol=DEFAULT_TOL):
+    """The decision prologue: state_check, then c's certificate with one
+    ppt_<part> check per bipartition; returns (cert, {part: verdict})."""
+    state_check(c, is_cp, tol)
+    cert = Certificate(family, c.d, {
+        "a_e": c.a_e, "a_12": c.a_12, "a_13": c.a_13, "a_23": c.a_23,
+        "re_123": c.r, "im_123": c.s}, tolerances=asdict(tol))
+    ppt = {}
+    for part in CUTS:
+        ppt[part], m = classify_cut(c, part[0], tol)
+        cert.add_check(f"ppt_{part}", ppt[part], margin=m)
+    return cert, ppt
 
 
 def linspace(lo, hi, n):
@@ -199,19 +299,11 @@ def extremal_grid(extremal_fn, types, d, grid):
 
 
 def grid_rows(realize_fn, types, d, grid):
-    """Rows (id, tuple6) of extremal_grid, realize_fn -> (sign, tuple6)."""
+    """Rows (id, tuple6) of extremal_grid, realize_fn -> tuple6."""
     def row(t, A, B, C, sign, d):
-        tup = realize_fn(t, A, B, C, sign, d)[1]
+        tup = realize_fn(t, A, B, C, sign, d)
         return f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]", tup
     return list(extremal_grid(row, types, d, grid))
-
-
-def certificate(family, c: Coeffs, tol) -> Certificate:
-    """An empty certificate for the state with coefficients c."""
-    return Certificate(family, c.d, {
-        "a_e": c.a_e, "a_12": c.a_12, "a_13": c.a_13, "a_23": c.a_23,
-        "re_123": c.r, "im_123": c.s,
-    }, tolerances=asdict(tol))
 
 
 def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):
@@ -240,7 +332,7 @@ def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):
         p = e * a0 + x * a1 + y * a2 + z * a3 + r * a4 + s * a5
         q = e * o0 + x * o1 + y * o2 + z * o3 + r * o4 + s * o5
         mins.append(p if p < q else q)
-    lo = min(mins)
+    lo = least(mins)
     vg = sum(k * t for k, t in zip(kg, c.as_tuple6()))
     verdict = classify(lo, math.sqrt(max(vg, 0.0)), tol)
     cert.add_check("witness_sweep", verdict, count=len(rows), min_eig=lo)

@@ -8,18 +8,16 @@ scalar inequalities and the closed-form spectrum of a single 2x2 block via
 the C (+) C (+) M_2(C) block decomposition of the invariant algebra.
 """
 
-import cmath
 import math
-from dataclasses import dataclass
 
 from . import s3
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, classify, finite_number,
-                     integer)
+from .linalg import DEFAULT_TOL, ContractError, finite_number, integer
 from .twirl import build_V
 
-OMEGA = cmath.exp(2j * cmath.pi / 3)
+# perfbench's tracer times min_margin through this name.
+Table2Block = s3.Table2Block
 
 
 class S3Coeffs(s3.Coeffs):
@@ -27,6 +25,7 @@ class S3Coeffs(s3.Coeffs):
     dependent, so that case belongs to the quo family."""
 
     MIN_D = 3
+    TRANSPOSED = ""
 
     @staticmethod
     def margins6(d, t):
@@ -36,41 +35,6 @@ class S3Coeffs(s3.Coeffs):
         return (ae + a12, ae + a13, ae - abs(a23),
                 ae + a12 + a13 + a23 + 2 * r,
                 (ae + a12) * (ae + a13) - abs(complex(a23 + r, s)) ** 2)
-
-
-@dataclass(frozen=True)
-class Table2Block:
-    """Image of an invariant operator in the C (+) C (+) M_2(C) picture:
-    the operator's spectrum is s1, s2 and the two eigenvalues of the
-    Hermitian block [[b00, b01], [conj(b01), b11]].  s2 is None where its
-    summand has dimension 0 (d = 2)."""
-
-    s1: float
-    s2: float | None
-    b00: float
-    b11: float
-    b01: complex
-
-    def min_margin(self):
-        """The least eigenvalue of the operator; the block's is
-        (b00 + b11)/2 - hypot((b00 - b11)/2, |b01|)."""
-        lo = ((self.b00 + self.b11) / 2
-              - math.hypot((self.b00 - self.b11) / 2, abs(self.b01)))
-        return min(v for v in (self.s1, self.s2, lo) if v is not None)
-
-
-def relabel(c: s3.Coeffs, tau):
-    """Coefficients of V_tau X V_tau: b_sigma = a_{tau sigma tau}, in the
-    class of c (the relabeling is the same for the T basis)."""
-    q = c.a_123
-    cls = type(c)
-    if tau == "12":
-        return cls(c.d, c.a_e, c.a_12, c.a_23, c.a_13, q.conjugate())
-    if tau == "13":
-        return cls(c.d, c.a_e, c.a_23, c.a_13, c.a_12, q.conjugate())
-    if tau == "23":
-        return cls(c.d, c.a_e, c.a_13, c.a_12, c.a_23, q.conjugate())
-    raise ContractError(f"relabel expects a transposition, got {tau!r}")
 
 
 def build_L(sigma, d) -> LinMap:
@@ -97,66 +61,29 @@ def is_positive_w3(c: S3Coeffs, tol=DEFAULT_TOL):
     return s3.positive6(S3Coeffs, c.d, c.as_tuple6(), tol)
 
 
-def F_iso(c: s3.Coeffs) -> Table2Block:
-    """Block image of X = sum a_sigma V_sigma; X is PSD iff all blocks are.
-    s2 is X on Lambda^3 C^d, which is 0 at d = 2, so it is left out there."""
-    ae, a12, a13, a23, _, _ = c.as_tuple6()
-    q = c.a_123
-    qb = q.conjugate()
-    w, wb = OMEGA, OMEGA.conjugate()
-    s1 = ae + a12 + a13 + a23 + 2 * c.r
-    s2 = ae - (a12 + a13 + a23) + 2 * c.r
-    return Table2Block(s1, None if c.d == 2 else s2,
-                       (ae + wb * q + w * qb).real,
-                       (ae + w * q + wb * qb).real,
-                       wb * a12 + w * a13 + a23)
-
-
-def G_iso(c: s3.Coeffs) -> Table2Block:
-    """Block image of X^{T_A}; X^{T_A} is PSD iff all blocks are.  s2 is
-    X^{T_A} on the part of Cbar^d (x) Lambda^2 C^d beyond one copy of C^d;
-    at d = 2 that part is 0, so s2 is left out there."""
-    d = c.d
-    ae, a12, a13, a23, r, s = c.as_tuple6()
-    y = math.sqrt(d * d - 1.0) / 2
-    return Table2Block(ae + a23, None if d == 2 else ae - a23,
-                       ae + a23 + (d + 1) / 2 * (a12 + a13 + 2 * r),
-                       ae - a23 + (d - 1) / 2 * (a12 + a13 - 2 * r),
-                       y * complex(a12 - a13, -2 * s))
-
-
-def is_cp_w3(c: s3.Coeffs, tol=DEFAULT_TOL):
+def is_cp_w3(c: S3Coeffs, tol=DEFAULT_TOL):
     """CP of the map / PSD-ness of the invariant matrix itself."""
-    return classify(F_iso(c).min_margin(), c.scale(), tol) != "false"
+    return s3.classify_cut(c, "", tol)[0] != "false"
 
 
-def is_ccp_w3(c: s3.Coeffs, tol=DEFAULT_TOL):
+def is_ccp_w3(c: S3Coeffs, tol=DEFAULT_TOL):
     """CCP of the map / PSD-ness of the A-partial-transposed matrix."""
-    return classify(G_iso(c).min_margin(), c.scale(), tol) != "false"
-
-
-def ppt_margins_w3(c: S3Coeffs):
-    """Least eigenvalue of each partial transpose, via relabelings."""
-    return {
-        "A-BC": G_iso(c).min_margin(),
-        "B-AC": G_iso(relabel(c, "12")).min_margin(),
-        "C-AB": G_iso(relabel(c, "13")).min_margin(),
-    }
+    return s3.classify_cut(c, "A", tol)[0] != "false"
 
 
 def ppt_w3(c: S3Coeffs, tol=DEFAULT_TOL):
     """Three partial-transpose verdicts for the invariant state."""
-    return {part: v != "false"
-            for part, v in s3.ppt_verdicts(ppt_margins_w3(c), c, tol).items()}
+    return {part: s3.classify_cut(c, part[0], tol)[0] != "false"
+            for part in s3.CUTS}
 
 
 def _realize_w3(type_name, A, B, C, sign, d):
-    """(sign as +-1, the s3.realize tuple6) of a Type I/II/III map."""
+    """The s3.realize tuple6 of a Type I/II/III map."""
     if type_name not in ("I", "II", "III"):
         raise ContractError(f"unknown extremal type {type_name!r}")
     if type_name != "I":
         s3.check_params(A, B, C)
-    sgn, ss = s3.signed_root(A, B, C, sign)
+    ss = s3.signed_root(A, B, C, sign)
     if type_name == "I":
         tup = (1.0, -1.0, -1.0, -1.0, 1.0, 0.0)
     elif type_name == "II":
@@ -165,13 +92,13 @@ def _realize_w3(type_name, A, B, C, sign, d):
         tup = ((A + B + 2 * C) / 2, (A - B - 2 * C) / 2,
                (-A + B - 2 * C) / 2, (A + B + 2 * C) / 2,
                -(A + B) / 2, ss)
-    return sgn, s3.realize(S3Coeffs, d, type_name, (A, B, C), tup)
+    return s3.realize(S3Coeffs, d, type_name, (A, B, C), tup)
 
 
-def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> s3.Extremal:
-    """Extremal trace-preserving positive covariant map of Type I/II/III."""
-    sgn, t = _realize_w3(type_name, A, B, C, sign, d)
-    return s3.Extremal(type_name, (A, B, C), sgn, S3Coeffs.from_tuple6(d, t))
+def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> S3Coeffs:
+    """Coefficients of the extremal trace-preserving positive covariant map
+    of Type I/II/III."""
+    return S3Coeffs.from_tuple6(d, _realize_w3(type_name, A, B, C, sign, d))
 
 
 def witness_L0(d) -> S3Coeffs:
@@ -179,7 +106,7 @@ def witness_L0(d) -> S3Coeffs:
     rescaled to a_e = 1: coefficients (1, 1, -1, 1, -1, 0).  Witness verdicts
     are scale invariant, so the trace-preserving normalization is dropped in
     favor of the canonical integer form."""
-    ex = extremal_w3("III", 1.0, 0.0, 0.0, +1, d).realized
+    ex = extremal_w3("III", 1.0, 0.0, 0.0, +1, d)
     return ex.scale_by(1.0 / ex.a_e)
 
 
@@ -207,7 +134,7 @@ def rho_t(d, t):
 
 
 def t_max(d=3):
-    """Largest t for which rho_t stays A-BC PPT.  In G_iso(rho_t), s1, s2
+    """Largest t for which rho_t stays A-BC PPT.  In s3.G_iso(rho_t), s1, s2
     and the block's (0, 0) entry are positive, so the block decides: its
     determinant is proportional to d^2 (d + 1) + d (d + 4) t - (d^2 - 4) t^2,
     and the edge is the larger root of that quadratic."""
@@ -220,13 +147,8 @@ def _witness_coeff_grid(d, grid):
     """Rows (id, tuple6) of the witness family: L0, Type I, and Types II/III
     over s3.grid_points."""
     return ([("L0", witness_L0(d).as_tuple6()),
-             ("I", extremal_w3("I", d=d).realized.as_tuple6())]
+             ("I", extremal_w3("I", d=d).as_tuple6())]
             + s3.grid_rows(_realize_w3, ("II", "III"), d, grid))
-
-
-def state_check(c: S3Coeffs, tol=DEFAULT_TOL):
-    """Raise unless the coefficients describe a quantum state."""
-    s3.state_check(c, is_cp_w3, tol)
 
 
 def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
@@ -237,13 +159,7 @@ def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
     entanglement across A-BC; a PPT failure proves entanglement too; otherwise
     the verdict is inconclusive at the chosen grid resolution.
     """
-    state_check(c, tol)
-    cert = s3.certificate("werner3", c, tol)
-    margins = ppt_margins_w3(c)
-    ppt = s3.ppt_verdicts(margins, c, tol)
-    for part, v in ppt.items():
-        cert.add_check(f"ppt_{part}", v, margin=margins[part])
-
+    cert, ppt = s3.open_certificate("werner3", c, is_cp_w3, tol)
     rows = _witness_coeff_grid(c.d, grid)
     mins, ok = s3.witness_sweep(cert, c, rows, tol)
     worst = mins.index(min(mins))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from covwit import hh, oracle, quo, werner3
+from covwit import hh, oracle, quo, s3, werner3
 from covwit.choi import max_entangled
 from covwit.linalg import flip, identity, partial_transpose
 from covwit.twirl import (BASES, PERMS, build_T, cond_expect, diag_units,
@@ -252,8 +252,8 @@ def test_criterion_06_table2_isomorphisms(d):
         c = werner3.S3Coeffs(d, v[0], v[1], v[2], v[3],
                              complex(v[4], v[5]))
         x = werner3.invariant_matrix(c)
-        f = werner3.F_iso(c).min_margin()
-        g = werner3.G_iso(c).min_margin()
+        f = s3.F_iso(c).min_margin()
+        g = s3.G_iso(c).min_margin()
         if abs(f) > 1e-8:
             assert (f > 0) == (np.linalg.eigvalsh(x)[0].real >= -1e-9)
         if abs(g) > 1e-8:
@@ -289,8 +289,7 @@ def test_criterion_09_quo_extremals_and_ppt_states():
     32x32 (A-B, C) grid with both signs, plus the fixed Type I/II tuples, is
     CP or CCP by numerical PSD at 1e-9; 10,000 random A-BC-PPT invariant
     states (d=3) trigger zero witness violations."""
-    def cp_ccp_row(ex):
-        r = ex.realized
+    def cp_ccp_row(r):
         return quo.is_cp_quo(r), quo.is_ccp_quo(r), r.vector()
 
     for d in (2, 3, 4):
@@ -349,7 +348,7 @@ def test_criterion_09_quo_extremals_and_ppt_states():
             c = quo.QuoCoeffs(d, row[0].real, row[1].real, row[2].real,
                               row[3].real, row[4])
             margins = quo.positivity_margins_quo(c)
-            g = werner3.G_iso(werner3.relabel(
+            g = s3.G_iso(s3.relabel(
                 werner3.S3Coeffs(d, c.a_e, c.a_12, c.a_13, c.a_23, c.a_123),
                 "13")).min_margin()
             if g > 1e-8:  # strictly A-BC PPT

@@ -2,12 +2,14 @@
 each classified from their own margin."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covwit import hh, quo, werner3
 from covwit.certificate import VERDICTS
-from covwit.linalg import Tolerances, band, classify, partial_transpose
+from covwit.linalg import (NumericalError, Tolerances, band, classify,
+                           partial_transpose)
 
 # The d = 2 relation T_e = T_12 + T_13 + T_23 - T_123 - T_132 as a direction
 # in (a_e, a_12, a_13, a_23, re_123, im_123): it names the zero operator.
@@ -25,6 +27,25 @@ def test_classify_band_and_degree():
     assert classify(-1.0, 4.0, tol) == "false"
     assert classify(-1.0, 4.0, tol, degree=2) == "boundary"
     assert classify(0.0, 0.0) == "boundary"
+
+
+# NaN and overflow inside a closed form; Python's min keeps or drops a NaN
+# by where it sits, and abs of a complex and ** raise OverflowError.
+OVERFLOWS = {
+    "classify-nan": lambda: classify(float("nan"), 1.0),
+    "is_cp_w3-nan-block": lambda: werner3.is_cp_w3(
+        werner3.S3Coeffs(3, 1e308, 1e308, 1e308, 1e308, 1e308)),
+    "ppt_quo-abs-b01": lambda: quo.ppt_quo(
+        quo.QuoCoeffs(3, 1e308, -1e308, 1e308, 1e308, 1e308)),
+    "is_positive_w3-square": lambda: werner3.is_positive_w3(
+        werner3.S3Coeffs(3, 1e200, 1e200, 1e200, -1e200, 0)),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWS)
+def test_nan_and_overflow_are_numerical_failures(call):
+    with pytest.raises(NumericalError):
+        OVERFLOWS[call]()
 
 
 def test_hh_checks_are_classified_from_their_own_margins():

@@ -27,8 +27,8 @@ def test_parse_number_rationals_and_decimals():
 
 def test_parse_coeffs():
     assert parse_coeffs("1,2,3,4,5,6") == [1, 2, 3, 4, 5, 6]
-    with pytest.raises(ContractError):
-        parse_coeffs("1,2,3")
+    with pytest.raises(ContractError):  # from_tuple6 counts the values
+        werner3.S3Coeffs.from_tuple6(3, parse_coeffs("1,2,3"))
 
 
 def test_certify_hh_vertex(tmp_path, capsys):
@@ -193,6 +193,11 @@ def test_exit_code_invalid_input(capsys):
     assert run(["certify", "hh", "--d", "3", "--a", "x", "--b", "0",
                 "--c", "0"]) == 1
     assert run(["certify", "werner3", "--d", "3", "--coeffs", "1,2,3"]) == 1
+    assert run(["certify", "werner3", "--d", "3", "--coeffs",
+                "1,2,3,4,5,6,7"]) == 1
+    # |a_123| past the float range while its parts are finite
+    assert run(["certify", "werner3", "--d", "3", "--coeffs",
+                "0,0,0,0,1.5e308,1.5e308"]) == 1
     assert run(["certify", "werner3", "--d", "2", "--coeffs",
                 "1,0,0,0,0,0"]) == 1
     assert run(["sweep", "hh", "--d", "3", "--grid", "1"]) == 1

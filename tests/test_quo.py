@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from covwit import quo
+from covwit import quo, s3
 from covwit.linalg import (ContractError, DimensionError, is_psd,
                            partial_transpose)
 from covwit.oracle import brute_positive_orbit
@@ -73,7 +73,7 @@ def test_state_check_is_invariant_under_the_d2_relation(lam):
     assert (quo.decide_quo(shifted, grid=4).verdict
             == quo.decide_quo(c, grid=4).verdict)
     with pytest.raises(ContractError, match="not a normalized state"):
-        quo.state_check(c.scale_by(1 + 1e-6))
+        s3.state_check(c.scale_by(1 + 1e-6), quo.is_cp_quo)
 
 
 def test_coeffs_validation():
@@ -142,23 +142,23 @@ def test_extremals_d3_types(d):
     """Types I/II are fixed tuples (CP resp. CCP); Types III/IV are CP resp.
     CCP across their parameter range."""
     ex1 = quo.extremal_quo("I", d=d)
-    assert quo.is_cp_quo(ex1.realized) and quo.is_positive_quo(ex1.realized)
+    assert quo.is_cp_quo(ex1) and quo.is_positive_quo(ex1)
     ex2 = quo.extremal_quo("II", d=d)
-    assert quo.is_ccp_quo(ex2.realized) and quo.is_positive_quo(ex2.realized)
+    assert quo.is_ccp_quo(ex2) and quo.is_positive_quo(ex2)
     for a, b, c, sg in ((0.5, 0.5, 0.3, 1), (0.8, 0.2, -0.3, -1),
                         (1.0, 0.0, 0.0, 1)):
         e3 = quo.extremal_quo("III", a, b, c, sg, d)
-        assert quo.is_cp_quo(e3.realized) and quo.is_positive_quo(e3.realized)
+        assert quo.is_cp_quo(e3) and quo.is_positive_quo(e3)
         e4 = quo.extremal_quo("IV", a, b, c, sg, d)
-        assert quo.is_ccp_quo(e4.realized) and quo.is_positive_quo(e4.realized)
+        assert quo.is_ccp_quo(e4) and quo.is_positive_quo(e4)
 
 
 def test_extremals_d2_types():
     for a, b, c, sg in ((0.6, 0.4, 0.2, 1), (0.3, 0.7, -0.4, -1)):
         e1 = quo.extremal_quo("I'", a, b, c, sg, 2)
-        assert quo.is_cp_quo(e1.realized) and quo.is_positive_quo(e1.realized)
+        assert quo.is_cp_quo(e1) and quo.is_positive_quo(e1)
         e2 = quo.extremal_quo("II'", a, b, c, sg, 2)
-        assert quo.is_ccp_quo(e2.realized) and quo.is_positive_quo(e2.realized)
+        assert quo.is_ccp_quo(e2) and quo.is_positive_quo(e2)
     with pytest.raises(ContractError):
         quo.extremal_quo("I", d=2)
     with pytest.raises(ContractError):
@@ -169,7 +169,7 @@ def test_extremal_tp_normalization():
     for d in (2, 3):
         types = ("III", "IV") if d >= 3 else ("I'", "II'")
         for t in types:
-            c = quo.extremal_quo(t, 0.5, 0.5, 0.1, 1, d).realized
+            c = quo.extremal_quo(t, 0.5, 0.5, 0.1, 1, d)
             assert np.isclose(c.trace(), d)  # TP: trace d^3 / d^2...
 
 
@@ -236,9 +236,10 @@ def test_ppt_transfer_example():
 
 def test_state_check_rejects():
     with pytest.raises(ContractError):
-        quo.state_check(quo.QuoCoeffs(3, 1.0, 0, 0, 0, 0))  # trace 27
+        s3.state_check(quo.QuoCoeffs(3, 1.0, 0, 0, 0, 0),  # trace 27
+                       quo.is_cp_quo)
     # normalized but not PSD
     c = quo.QuoCoeffs(3, 0.0, 0.0, 0.0, 1.0 / 9, 0)
     if not quo.is_cp_quo(c):
         with pytest.raises(ContractError):
-            quo.state_check(c)
+            s3.state_check(c, quo.is_cp_quo)

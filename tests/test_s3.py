@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covwit import hh, linalg, quo, s3, serialize, twirl, werner3
+from covwit.certificate import Certificate
 from covwit.choi import LinMap
 from covwit.linalg import (DEFAULT_TOL, ContractError, DimensionError,
                            partial_transpose)
@@ -23,6 +24,7 @@ FAMILIES = {
                 werner3._witness_coeff_grid),
     "quo": (quo, quo.QuoCoeffs, quo.build_M, quo._witness_rows),
 }
+IS_CP = {"werner3": werner3.is_cp_w3, "quo": quo.is_cp_quo}
 CASES = [("werner3", d) for d in (3, 4, 5)] + [("quo", d) for d in (2, 3, 4)]
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -61,9 +63,9 @@ def test_witness_sweep_matches_dense_images(case, v, state, shrink, extra):
     mod, cls, build_one, catalogue = FAMILIES[family]
     c = as_state(cls, d, v, shrink) if state else cls.from_tuple6(d, v)
     if state:
-        mod.state_check(c)
+        s3.state_check(c, IS_CP[family])
     rows = catalogue(d, 4) + [("random", w) for w in extra]
-    cert = s3.certificate(family, c, DEFAULT_TOL)
+    cert = Certificate(family, d, {})
     mins, _ = s3.witness_sweep(cert, c, rows, DEFAULT_TOL)
     ws = [cls.from_tuple6(d, t).vector() for _, t in rows]
     want, norm = dense_minima(mod, build_one, c, ws)
@@ -77,10 +79,10 @@ def _fixed_rows_and_grid(family, d):
     types it sweeps over the grid."""
     if family == "werner3":
         return ([("L0", werner3.witness_L0(d)),
-                 ("I", werner3.extremal_w3("I", d=d).realized)],
+                 ("I", werner3.extremal_w3("I", d=d))],
                 werner3.extremal_w3, ("II", "III"))
     if d >= 3:
-        return ([(t, quo.extremal_quo(t, d=d).realized) for t in ("I", "II")],
+        return ([(t, quo.extremal_quo(t, d=d)) for t in ("I", "II")],
                 quo.extremal_quo, ("III", "IV"))
     return [], quo.extremal_quo, ("I'", "II'")
 
@@ -89,14 +91,17 @@ def _fixed_rows_and_grid(family, d):
 @pytest.mark.parametrize("case", [("werner3", d) for d in (3, 4, 5)]
                          + [("quo", d) for d in (2, 3, 4, 5)])
 def test_catalogue_rows_are_the_public_extremals(case, grid):
-    """One path: every catalogue row is ex.realized.as_tuple6() of the
-    extremal the public extremal_* makes at that grid point, in order."""
+    """One path: every catalogue row is the as_tuple6() of the extremal
+    the public extremal_* makes at that grid point, in order."""
     family, d = case
     fixed, extremal_fn, types = _fixed_rows_and_grid(family, d)
-    want = [(i, c.as_tuple6()) for i, c in fixed] + [
-        (f"{ex.type}[{ex.params[0]:.4f},{ex.params[1]:.4f},"
-         f"{ex.params[2]:.4f},{ex.sign:+d}]", ex.realized.as_tuple6())
-        for ex in s3.extremal_grid(extremal_fn, types, d, grid)]
+
+    def row(t, A, B, C, sign, d):
+        return (f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]",
+                extremal_fn(t, A, B, C, sign, d).as_tuple6())
+
+    want = [(i, c.as_tuple6()) for i, c in fixed] + list(
+        s3.extremal_grid(row, types, d, grid))
     assert FAMILIES[family][3](d, grid) == want
 
 
@@ -112,32 +117,26 @@ def test_grid_points_are_np_linspace_bit_for_bit(n, m, i):
         assert got.tobytes() == np.linspace(lo, hi, n).tobytes()
 
 
-def _relabeled_G(tau):
-    return lambda c: werner3.G_iso(werner3.relabel(c, tau))
-
-
-# family -> block images of X, X^{T_A}, X^{T_B}, X^{T_C}; quo's X is
-# (sum a_sigma V_sigma)^{T_B}.
-BLOCKS = {
-    "werner3": (werner3.F_iso, werner3.G_iso, _relabeled_G("12"),
-                _relabeled_G("13")),
-    "quo": (_relabeled_G("12"), _relabeled_G("13"), werner3.F_iso,
-            werner3.G_iso),
-}
-
-
 @settings(max_examples=150)
-@given(case=st.sampled_from(CASES), v=six)
+@given(case=st.sampled_from(CASES + [("quo", 5)]), v=six)
 def test_block_spectra_match_dense_eigenvalues(case, v):
+    """The whole spectrum of X and of each partial transpose, with
+    multiplicities, read off s3.block(c, cut)."""
     family, d = case
     mod, cls = FAMILIES[family][:2]
     c = cls.from_tuple6(d, v)
     x = mod.invariant_matrix(c)
     band = 1e-12 * max(1.0, float(np.linalg.norm(x)))
-    dense = [x] + [partial_transpose(x, [d, d, d], k) for k in range(3)]
-    for block, m in zip(BLOCKS[family], dense):
-        want = np.linalg.eigvalsh(m)[0]
-        assert abs(block(c).min_margin() - want) <= band, (family, d)
+    for k, cut in enumerate(("", "A", "B", "C")):
+        m = partial_transpose(x, [d, d, d], k - 1) if cut else x
+        b = s3.block(c, cut)
+        m1, m2, mb = b.mult
+        assert m1 + m2 + 2 * mb == d**3, (family, d, cut)
+        pair = np.linalg.eigvalsh([[b.b00, b.b01], [np.conj(b.b01), b.b11]])
+        got = np.sort(np.repeat([b.s1, b.s2, *pair], [m1, m2, mb, mb]))
+        want = np.linalg.eigvalsh(m)
+        assert np.abs(got - want).max() <= band, (family, d, cut)
+        assert abs(b.min_margin() - want[0]) <= band, (family, d, cut)
 
 
 def test_decisions_build_no_dense_matrix(monkeypatch):
@@ -216,6 +215,10 @@ def test_bad_coefficients_are_contract_errors(bad):
     if not isinstance(bad, complex):
         with pytest.raises(ContractError):
             quo.QuoCoeffs(3, 0.0, 0.0, 0.0, 0.0, bad)
+    for cls in (werner3.S3Coeffs, quo.QuoCoeffs):  # exactly six values
+        for v in (bad, [0.0] * 3, [0.0] * 6 + [bad], [0.0] * 7):
+            with pytest.raises(ContractError):
+                cls.from_tuple6(3, v)
 
 
 # constructor -> (its least d, a call with that d)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covwit import werner3 as w3
+from covwit import s3, werner3 as w3
 from covwit.linalg import (ContractError, DimensionError, flip, is_psd,
                            partial_transpose)
 from covwit.oracle import brute_positive_orbit
@@ -78,10 +78,10 @@ def test_relabel_matches_conjugation():
         for _ in range(5):
             c = random_coeffs(rng, d)
             x = w3.invariant_matrix(c)
-            y = w3.invariant_matrix(w3.relabel(c, tau))
+            y = w3.invariant_matrix(s3.relabel(c, tau))
             assert np.abs(vt @ x @ vt - y).max() < 1e-12, tau
     with pytest.raises(ContractError):
-        w3.relabel(random_coeffs(rng), "123")
+        s3.relabel(random_coeffs(rng), "123")
 
 
 def test_invariant_matrix_hermitian_and_trace():
@@ -120,7 +120,7 @@ def test_G_block_example_a12_only():
     """For the pure a_12 = 1 tuple at d = 3 the G block has the closed form
     [[2, y], [y, 1]] with y = sqrt(d^2-1)/2 and scalar parts 0."""
     c = w3.S3Coeffs(3, 0, 1, 0, 0, 0)
-    g = w3.G_iso(c)
+    g = s3.G_iso(c)
     y = np.sqrt(8.0) / 2
     assert g.s1 == 0 and g.s2 == 0
     assert abs(g.b00 - 2.0) < 1e-12 and abs(g.b11 - 1.0) < 1e-12
@@ -146,8 +146,7 @@ def test_extremal_types_positive_and_tp():
             (dict(type_name="III", A=0.5, B=0.5, C=0.5), True, False),
             (dict(type_name="III", A=0.5, B=0.5, C=-0.5), False, True),
     ):
-        ex = w3.extremal_w3(d=3, **kwargs)
-        c = ex.realized
+        c = w3.extremal_w3(d=3, **kwargs)
         assert w3.is_positive_w3(c)
         assert np.isclose(9 * c.a_e + 3 * (c.a_12 + c.a_13 + c.a_23)
                           + 2 * c.r, 1.0)
@@ -174,7 +173,7 @@ def test_rho_t_is_state():
         rho = w3.invariant_matrix(c)
         assert np.isclose(np.trace(rho).real, 1.0)
         assert is_psd(rho)[0]
-        w3.state_check(c)
+        s3.state_check(c, w3.is_cp_w3)
     with pytest.raises(ContractError):
         w3.rho_t_coeffs(3, 0.0)
 
@@ -231,7 +230,7 @@ def test_t_max_is_the_g_iso_edge(d):
     tm = w3.t_max(d)
 
     def margin(t):
-        return w3.G_iso(w3.rho_t_coeffs(d, t)).min_margin()
+        return s3.G_iso(w3.rho_t_coeffs(d, t)).min_margin()
 
     assert margin(tm * (1 - 1e-9)) > 0 > margin(tm * (1 + 1e-9))
 
