@@ -36,7 +36,7 @@ for d in (2, 3):
     cert = quo.decide_quo(c, grid=8)
     print(f"  random NPT state:  {cert.verdict} "
           f"(A-BC partial transpose min eig "
-          f"{cert.checks['ppt_A-BC']['evidence']['pt_min_eig']:+.4f}, "
+          f"{cert.checks['ppt_A-BC']['evidence']['margin']:+.4f}, "
           f"worst witness {cert.witnesses[0]['min_eig']:+.4f})")
     print()
 

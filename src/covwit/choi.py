@@ -2,12 +2,19 @@
 
 The Choi matrix convention is C = sum_ij e_ij (x) L(e_ij) (unnormalized);
 the normalized version divides by d_in.  Map application inverts it via
-L(X)_kl = sum_ij X_ij C[(i,k),(j,l)].
+L(X)_kl = sum_ij X_ij C[(i,k),(j,l)], which is one matrix product with the
+realigned Choi matrix S[(i,j),(k,l)] = C[(i,k),(j,l)]: vec L(X) = vec X @ S.
 """
 
 import numpy as np
 
 from .linalg import DimensionError, asmatrix, flip, identity, integer
+
+
+def _realign(m, p, q, r, s):
+    """M[(a,i),(b,j)] -> R[(a,b),(i,j)] for M read as a (p, q, r, s) array;
+    the same call with (p, r, q, s) maps R back to M."""
+    return m.reshape(p, q, r, s).transpose(0, 2, 1, 3).reshape(p * r, q * s)
 
 
 def max_entangled(d):
@@ -37,33 +44,34 @@ class LinMap:
     def choi(self, normalized=True):
         return self._choi / self.d_in if normalized else self._choi
 
-    def _choi4(self):
-        return self._choi.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
-
     def __call__(self, x):
         x = asmatrix(x)
-        if x.shape != (self.d_in, self.d_in):
-            raise DimensionError(
-                f"input shape {x.shape} != ({self.d_in},{self.d_in})")
-        return np.einsum("ij,ikjl->kl", x, self._choi4())
+        a, b = self.d_in, self.d_out
+        if x.shape != (a, a):
+            raise DimensionError(f"input shape {x.shape} != ({a},{a})")
+        return (x.reshape(-1) @ _realign(self._choi, a, b, a, b)).reshape(b, b)
 
     def adjoint(self):
         """The adjoint L* for the bilinear pairing Tr(L(X)Y) = Tr(X L*(Y))."""
-        adj = np.ascontiguousarray(
-            np.transpose(self._choi4(), (3, 2, 1, 0))).reshape(
-            self.d_out * self.d_in, self.d_out * self.d_in)
-        return LinMap(self.d_out, self.d_in, adj)
+        a, b = self.d_in, self.d_out
+        adj = self._choi.reshape(a, b, a, b).transpose(3, 2, 1, 0)
+        return LinMap(b, a, adj.reshape(b * a, b * a))
 
     def id_tensor(self, rho, d_id):
-        """(id_{d_id} (x) L)(rho) for rho on C^{d_id} (x) C^{d_in}."""
+        """(id_{d_id} (x) L)(rho) for rho on C^{d_id} (x) C^{d_in}.
+
+        Row (a,b) of the realigned rho is vec of the block rho_ab, and
+        (id (x) L)(rho) has blocks L(rho_ab), so all d_id^2 blocks map in one
+        product with the realigned Choi matrix."""
+        d_id = integer(d_id, "d_id", 1)
         rho = asmatrix(rho)
-        n = d_id * self.d_in
+        a, b = self.d_in, self.d_out
+        n = d_id * a
         if rho.shape != (n, n):
             raise DimensionError(f"state shape {rho.shape} != ({n},{n})")
-        rho4 = rho.reshape(d_id, self.d_in, d_id, self.d_in)
-        out4 = np.einsum("aibj,ikjl->akbl", rho4, self._choi4())
-        m = d_id * self.d_out
-        return np.ascontiguousarray(out4).reshape(m, m)
+        blocks = _realign(rho, d_id, a, d_id, a)
+        out = blocks @ _realign(self._choi, a, b, a, b)
+        return _realign(out, d_id, d_id, b, b)
 
 
 def identity_map(d):

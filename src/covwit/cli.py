@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, hh, oracle, quo, s3, serialize, twirl, werner3
+from . import __version__, hh, quo, s3, serialize, twirl, werner3
 from .choi import LinMap
 from .linalg import (ContractError, CovwitError, DimensionError,
                      NumericalError, Tolerances, integer)
@@ -195,6 +195,8 @@ def cmd_sweep(args):
 
 
 def cmd_selftest(args):
+    from . import oracle  # only selftest pays for the oracles' import
+
     ok, _ = oracle.selftest(seed=args.seed, level=args.level)
     return 0 if ok else 2
 

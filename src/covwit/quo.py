@@ -139,9 +139,8 @@ def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
     witnesses of every type are recorded as confirming evidence.
     """
     cert, ppt = s3.open_certificate("quo", c, is_cp_quo, tol)
-    ev = cert.checks["ppt_A-BC"]["evidence"]
-    ev["pt_min_eig"] = ev.pop("margin")
-    cert.add_check("separable_A-BC", ppt["A-BC"], margin=ev["pt_min_eig"])
+    cert.add_check("separable_A-BC", ppt["A-BC"],
+                   margin=cert.checks["ppt_A-BC"]["evidence"]["margin"])
     rows = _witness_rows(c.d, grid)
     mins, _ = s3.witness_sweep(cert, c, rows, tol)
     worst = mins.index(min(mins))

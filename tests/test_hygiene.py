@@ -1,7 +1,11 @@
 """Every module under src/covwit, tests and demos uses each name it
-imports, and the closed-form modules import no numpy."""
+imports, the closed-form modules import no numpy, and the CLI leaves the
+oracles to selftest."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +57,11 @@ def test_closed_form_modules_import_no_numpy():
             found += [f"{name}.py:{node.lineno}: {m}" for m in mods
                       if m.split(".")[0] == "numpy"]
     assert not found, "numpy imports:\n" + "\n".join(found)
+
+
+def test_cli_imports_oracle_only_for_selftest():
+    code = "import sys, covwit.cli; print('covwit.oracle' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

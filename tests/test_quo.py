@@ -189,7 +189,7 @@ def test_decide_separable_state():
     assert cert.check_true("ppt_A-BC") and cert.check_true("separable_A-BC")
     assert cert.check_true("witness_sweep")
     assert cert.verdict == "SEPARABLE"
-    assert cert.checks["ppt_A-BC"]["evidence"]["pt_min_eig"] > -1e-9
+    assert cert.checks["ppt_A-BC"]["evidence"]["margin"] > -1e-9
 
 
 def test_decide_entangled_state():
