@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_DIM = 4096  # largest n of a dense n x n build; d^3 = 4096 at d = 16
+MAX_INT = 2**53  # largest integer input: the largest exact float integer
 
 
 class CovwitError(Exception):
@@ -59,7 +60,8 @@ def finite_number(v, what, real=True):
 
 def integer(v, what, least, error=DimensionError):
     """The integer rule: v as an int if it is an int or a numpy integer
-    (operator.index), bool not, else ContractError; below least, error."""
+    (operator.index), bool not, else ContractError; below least or above
+    MAX_INT, error."""
     try:
         i = None if isinstance(v, bool) else operator.index(v)
     except TypeError:
@@ -68,6 +70,8 @@ def integer(v, what, least, error=DimensionError):
         raise ContractError(f"{what} must be an integer, got {v!r}")
     if i < least:
         raise error(f"{what} must be >= {least}, got {i}")
+    if i > MAX_INT:
+        raise error(f"{what} must be <= 2**53, got {i}")
     return i
 
 

@@ -176,9 +176,9 @@ def selftest(seed=0, level="quick", out=print):
         bad = 0
         for _ in range(n):
             c = _random_coeffs(werner3.S3Coeffs, rng, 3)
-            if werner3.is_positive_w3(c) != brute_positive_orbit(
+            if s3.is_positive(c) != brute_positive_orbit(
                     werner3.build_map(c))[0]:
-                if _margin_interior(werner3.positivity_margins_w3(c)):
+                if _margin_interior(c.margins6(c.d, c.as_tuple6())):
                     bad += 1
         return bad == 0, f"{bad} disagreements / {n}"
 
@@ -190,10 +190,10 @@ def selftest(seed=0, level="quick", out=print):
         for _ in range(n):
             c = _random_coeffs(werner3.S3Coeffs, rng, 3)
             x = werner3.invariant_matrix(c)
-            if werner3.is_cp_w3(c) != is_psd(x)[0]:
+            if s3.is_cp(c) != is_psd(x)[0]:
                 bad += 1
             xa = partial_transpose(x, [3, 3, 3], 0)
-            if werner3.is_ccp_w3(c) != is_psd(xa)[0]:
+            if s3.is_ccp(c) != is_psd(xa)[0]:
                 bad += 1
         return bad == 0, f"{bad} disagreements / {2*n}"
 
@@ -217,9 +217,9 @@ def selftest(seed=0, level="quick", out=print):
         for d in (2, 3):
             for _ in range(n // 2):
                 c = _random_coeffs(quo.QuoCoeffs, rng, d)
-                if quo.is_positive_quo(c) != brute_positive_orbit(
+                if s3.is_positive(c) != brute_positive_orbit(
                         quo.build_map(c))[0]:
-                    if _margin_interior(quo.positivity_margins_quo(c)):
+                    if _margin_interior(c.margins6(c.d, c.as_tuple6())):
                         bad += 1
         return bad == 0, f"{bad} disagreements / {n}"
 
@@ -229,9 +229,9 @@ def selftest(seed=0, level="quick", out=print):
         grid = 12 if big else 6
         bad = 0
         for d in (2, 3):
-            types = ("III", "IV") if d == 3 else ("I'", "II'")
-            for r in s3.extremal_grid(quo.extremal_quo, types, d, grid):
-                if not (quo.is_cp_quo(r) or quo.is_ccp_quo(r)):
+            for _, t in s3.catalogue(quo.QuoCoeffs, d, grid):
+                r = quo.QuoCoeffs.from_tuple6(d, t)
+                if not (s3.is_cp(r) or s3.is_ccp(r)):
                     bad += 1
         return bad == 0, f"{bad} non-CP-non-CCP extremals"
 

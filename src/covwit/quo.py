@@ -2,18 +2,24 @@
 partially transposed permutation operators T_sigma = V_sigma^{T_B} and the
 dual covariant maps M_sigma = (T (x) id) o L_sigma.
 
-For this family A-BC PPT and A-BC separability coincide in every dimension;
-CP, CCP and the partial-transpose verdicts are the block forms s3.block
-picks for the T basis, at every d.  At d = 2 the T_sigma obey one linear
-relation; the summands it touches have multiplicity 0 in the block forms,
-and only positivity folds it in, through reduce_d2.
+For this family A-BC PPT and A-BC separability coincide in every dimension.
+QuoCoeffs states the family as data: the T basis, the positivity margins and
+the extremal types (I-IV at d >= 3, I'/II' at d = 2); s3 answers CP, CCP,
+the partial-transpose verdicts, the extremals and the witness catalogue from
+them.  At d = 2 the T_sigma obey one linear relation; the summands it
+touches have multiplicity 0 in the block forms, and only positivity folds it
+in, through reduce_d2.
 """
 
 from . import s3
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import DEFAULT_TOL, ContractError
+from .linalg import DEFAULT_TOL
 from .twirl import build_T
+
+# perfbench's tracer times these names by family; the s3 functions answer.
+is_positive_quo, is_cp_quo, is_ccp_quo, ppt_quo = (s3.is_positive, s3.is_cp,
+                                                   s3.is_ccp, s3.ppt)
 
 
 class QuoCoeffs(s3.Coeffs):
@@ -23,6 +29,20 @@ class QuoCoeffs(s3.Coeffs):
 
     MIN_D = 2
     TRANSPOSED = "B"
+    # extremal type -> its raw tuple6 at (A, B, C, rt = +-sqrt(AB - C^2), d)
+    TUPLES = {
+        "I": lambda A, B, C, rt, d: (d - 1.0, -1.0, 1.0 - d, -1.0, 1.0, 0.0),
+        "II": lambda A, B, C, rt, d: (d - 1.0, 1.0 - d, -1.0, -1.0, 1.0, 0.0),
+        "III": lambda A, B, C, rt, d: (0.0, A + B - 2 * C, 0.0, B, C - B, rt),
+        "IV": lambda A, B, C, rt, d: (0.0, 0.0, A + B - 2 * C, B, C - B, rt),
+    }
+    TUPLES["I'"], TUPLES["II'"] = TUPLES["III"], TUPLES["IV"]
+
+    @staticmethod
+    def types(d):
+        """(fixed types, types swept over the witness grid): I-IV at d >= 3,
+        I'/II' at d = 2, which take the tuples of III/IV."""
+        return (("I", "II"), ("III", "IV")) if d >= 3 else ((), ("I'", "II'"))
 
     @staticmethod
     def scale6(d, t):
@@ -70,65 +90,15 @@ def invariant_matrix(c: QuoCoeffs):
     return s3.invariant_matrix(c, build_T)
 
 
-def positivity_margins_quo(c: QuoCoeffs):
-    return QuoCoeffs.margins6(c.d, c.as_tuple6())
-
-
-def is_positive_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
-    return s3.positive6(QuoCoeffs, c.d, c.as_tuple6(), tol)
-
-
-def is_cp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
-    """CP of M / PSD-ness of sum a_sigma T_sigma."""
-    return s3.classify_cut(c, "", tol)[0] != "false"
-
-
-def is_ccp_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
-    """CCP of M / PSD-ness of (sum a_sigma T_sigma)^{T_A}."""
-    return s3.classify_cut(c, "A", tol)[0] != "false"
-
-
-def ppt_quo(c: QuoCoeffs, tol=DEFAULT_TOL):
-    """Partial-transpose verdicts for the state rho = sum a_sigma T_sigma."""
-    return {part: s3.classify_cut(c, part[0], tol)[0] != "false"
-            for part in s3.CUTS}
-
-
-def _realize_quo(type_name, A, B, C, sign, d):
-    """The s3.realize tuple6 of a map of Type I-IV for d >= 3, Type I'/II'
-    for d = 2, where they take the tuples of III/IV."""
-    if type_name in ("III", "IV", "I'", "II'"):
-        s3.check_params(A, B, C)
-    ss = s3.signed_root(A, B, C, sign)
-    if type_name not in (("I", "II", "III", "IV") if d >= 3
-                         else ("I'", "II'")):
-        raise ContractError(f"unknown extremal type {type_name!r} for "
-                            + ("d >= 3" if d >= 3 else "d = 2"))
-    if type_name == "I":
-        tup = (d - 1.0, -1.0, 1.0 - d, -1.0, 1.0, 0.0)
-    elif type_name == "II":
-        tup = (d - 1.0, 1.0 - d, -1.0, -1.0, 1.0, 0.0)
-    elif type_name in ("III", "I'"):
-        tup = (0.0, A + B - 2 * C, 0.0, B, C - B, ss)
-    else:
-        tup = (0.0, 0.0, A + B - 2 * C, B, C - B, ss)
-    return s3.realize(QuoCoeffs, d, type_name, (A, B, C), tup)
-
-
 def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> QuoCoeffs:
     """Coefficients of the extremal trace-preserving positive covariant
     map; Types I-IV for d >= 3, Types I'/II' for d = 2."""
-    return QuoCoeffs.from_tuple6(d, _realize_quo(type_name, A, B, C, sign, d))
+    return s3.extremal(QuoCoeffs, type_name, A, B, C, sign, d)
 
 
 def _witness_rows(d, grid):
-    """Catalogue rows (id, tuple6): Types I and II, then III/IV over
-    s3.grid_points; at d = 2 only I'/II' over the grid."""
-    if d >= 3:
-        rows = [(t, extremal_quo(t, d=d).as_tuple6())
-                for t in ("I", "II")]
-        return rows + s3.grid_rows(_realize_quo, ("III", "IV"), d, grid)
-    return s3.grid_rows(_realize_quo, ("I'", "II'"), d, grid)
+    """Catalogue rows (id, tuple6): s3.catalogue of the T basis."""
+    return s3.catalogue(QuoCoeffs, d, grid)
 
 
 def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
@@ -138,7 +108,7 @@ def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
     A-partial transpose, read off its block form, and a sweep over extremal
     witnesses of every type are recorded as confirming evidence.
     """
-    cert, ppt = s3.open_certificate("quo", c, is_cp_quo, tol)
+    cert, ppt = s3.open_certificate("quo", c, tol)
     cert.add_check("separable_A-BC", ppt["A-BC"],
                    margin=cert.checks["ppt_A-BC"]["evidence"]["margin"])
     rows = _witness_rows(c.d, grid)

@@ -2,11 +2,11 @@
 
 U(x)U(x)U-invariant operators (werner3) are spanned by the six permutation
 operators V_sigma, U(x)Ubar(x)U-invariant ones (quo) by T_sigma =
-V_sigma^{T_B}.  Both families store the same six coefficients, answer every
-PSD question (state, CP, CCP, each partial transpose) with the two block
-forms of the V_sigma algebra that block(c, cut) picks, normalize extremal
-maps the same way and sweep the same witness catalogue.  The operator
-builders, positivity margins and extremal types stay in werner3.py and quo.py.
+V_sigma^{T_B}.  A family is data on its coefficient class: its basis
+(TRANSPOSED), positivity margins (margins6) and extremal types (TUPLES,
+types).  This module answers the rest once for both: every PSD question
+through the two block forms of the V_sigma algebra that block(c, cut)
+picks, the extremal maps, the witness catalogue and its sweep.
 """
 
 import cmath
@@ -19,6 +19,7 @@ from .linalg import (DEFAULT_TOL, ContractError, NumericalError, check_dense,
 
 TP_TOL = 1e-12
 GRID = 16  # default witness grid of both decision functions and --grid
+MAX_GRID = 256  # a catalogue holds about 4 grid^2 rows
 
 PERMS = ("e", "12", "13", "23", "123", "132")
 # CYCLES[s][t] is the number of cycles of PERMS[s] o PERMS[t], so that
@@ -36,9 +37,9 @@ class Coeffs:
     reality pattern: a_e, a_12, a_13, a_23 real (stored as float), a_123
     complex, a_132 = conj(a_123) (never stored), d an int.  Subclasses set
     MIN_D, the family's least d, TRANSPOSED, the factors its basis
-    transposes off V_sigma, and margins6(d, t), its positivity slacks
-    (all linear but the last, quadratic one) on a tuple6: the as_tuple6
-    layout in plain floats, the form of a witness catalogue row."""
+    transposes off V_sigma, margins6(d, t), its positivity slacks (all
+    linear but the last, quadratic one) on a tuple6, the as_tuple6 layout
+    in plain floats, and TUPLES and types(d), its extremal types."""
 
     d: int
     a_e: float
@@ -193,33 +194,25 @@ def classify_cut(c: Coeffs, cut, tol=DEFAULT_TOL):
     return classify(m, scale, tol), m
 
 
-def check_params(A, B, C):
-    """The A, B >= 0, AB >= C^2 condition on continuous extremal types."""
-    if A < 0 or B < 0 or A * B < C * C - TP_TOL:
-        raise ContractError("need A,B >= 0 and AB >= C^2")
+def is_positive(c: Coeffs, tol=DEFAULT_TOL):
+    """Positivity of the map, by c's positivity margins."""
+    return positive6(type(c), c.d, c.as_tuple6(), tol)
 
 
-def signed_root(A, B, C, sign):
-    """sqrt(AB - C^2), negated if sign < 0."""
-    root = math.sqrt(max(A * B - C * C, 0.0))
-    return root if sign >= 0 else -root
+def is_cp(c: Coeffs, tol=DEFAULT_TOL):
+    """CP of the map / PSD-ness of its invariant matrix."""
+    return classify_cut(c, "", tol)[0] != "false"
 
 
-def realize(cls, d, type_name, params, tup):
-    """The raw tuple6 of a map of family cls normalized to trace
-    preservation; ContractError unless it passes cls's margins6."""
-    ae, a12, a13, a23, r, s = tup
-    norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
-    if norm <= TP_TOL:
-        raise ContractError(
-            f"degenerate trace-preservation normalizer for Type {type_name} "
-            f"params {params}")
-    f = 1.0 / norm
-    t = (f * ae, f * a12, f * a13, f * a23, f * r, f * s)
-    if not positive6(cls, d, t):
-        raise ContractError(
-            f"Type {type_name} tuple failed the positivity inequalities")
-    return t
+def is_ccp(c: Coeffs, tol=DEFAULT_TOL):
+    """CCP of the map / PSD-ness of the A-partial-transposed matrix."""
+    return classify_cut(c, "A", tol)[0] != "false"
+
+
+def ppt(c: Coeffs, tol=DEFAULT_TOL):
+    """Partial-transpose verdicts of the state, one per bipartition."""
+    return {part: classify_cut(c, part[0], tol)[0] != "false"
+            for part in CUTS}
 
 
 def positive6(cls, d, t, tol=DEFAULT_TOL):
@@ -230,6 +223,43 @@ def positive6(cls, d, t, tol=DEFAULT_TOL):
         raise NumericalError(f"the positivity margins overflow: {exc}")
     return (classify(least(m[:-1]), scale, tol) != "false"
             and classify(m[-1], scale, tol, degree=2) != "false")
+
+
+def realize(cls, type_name, A, B, C, sign, d):
+    """The tuple6 of cls's extremal map type_name at (A, B, C, sign),
+    normalized to trace preservation; ContractError unless it passes cls's
+    margins6.  The inputs are taken as checked: this is the per-row path
+    of the catalogue, and extremal checks them."""
+    root = math.sqrt(max(A * B - C * C, 0.0))
+    ae, a12, a13, a23, r, s = cls.TUPLES[type_name](
+        A, B, C, root if sign >= 0 else -root, d)
+    norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
+    if norm <= TP_TOL:
+        raise ContractError(
+            f"degenerate trace-preservation normalizer for Type {type_name} "
+            f"params {(A, B, C)}")
+    f = 1.0 / norm
+    t = (f * ae, f * a12, f * a13, f * a23, f * r, f * s)
+    if not positive6(cls, d, t):
+        raise ContractError(
+            f"Type {type_name} tuple failed the positivity inequalities")
+    return t
+
+
+def extremal(cls, type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3):
+    """The extremal trace-preserving positive covariant map of type_name,
+    one of cls.types(d), as a cls.  The swept types need A, B >= 0 and
+    AB >= C^2; sign = +1 or -1 picks the root sqrt(AB - C^2)."""
+    d = integer(d, "d", cls.MIN_D)
+    fixed, swept = cls.types(d)
+    if type_name not in fixed + swept:
+        raise ContractError(f"unknown extremal type {type_name!r} at d = {d}")
+    A, B, C = (finite_number(v, n) for v, n in zip((A, B, C), "ABC"))
+    if integer(sign, "sign", -1, ContractError) not in (-1, 1):
+        raise ContractError(f"sign must be +1 or -1, got {sign!r}")
+    if type_name in swept and (A < 0 or B < 0 or A * B < C * C - TP_TOL):
+        raise ContractError("need A,B >= 0 and AB >= C^2")
+    return cls.from_tuple6(d, realize(cls, type_name, A, B, C, sign, d))
 
 
 def invariant_matrix(c: Coeffs, build_op):
@@ -243,22 +273,24 @@ def invariant_matrix(c: Coeffs, build_op):
     return out
 
 
-def state_check(c: Coeffs, is_cp, tol=DEFAULT_TOL):
+def state_check(c: Coeffs, tol=DEFAULT_TOL):
     """Raise unless the coefficients describe a quantum state.  The rounding
-    error of the trace grows with the largest raw coefficient, so its bound
-    does too; it reads no |a_123|, which can overflow where its parts do not."""
+    error of the trace is bounded by eq_tol times the sum of its terms'
+    magnitudes; an infinite bound means an overflow and is refused too."""
+    d, (ae, a12, a13, a23, r, _) = c.d, c.as_tuple6()
     tr = c.trace()
-    bound = tol.eq_tol * c.d**3 * max(1.0, *map(abs, c.as_tuple6()))
-    if not abs(tr - 1.0) <= bound:
+    bound = tol.eq_tol * max(1.0, d**3 * abs(ae) + 2 * d * abs(r)
+                             + d**2 * (abs(a12) + abs(a13) + abs(a23)))
+    if not abs(tr - 1.0) <= bound < math.inf:
         raise ContractError(f"trace {tr} != 1: not a normalized state")
     if not is_cp(c, tol):
         raise ContractError("coefficient matrix is not PSD: not a state")
 
 
-def open_certificate(family, c: Coeffs, is_cp, tol=DEFAULT_TOL):
+def open_certificate(family, c: Coeffs, tol=DEFAULT_TOL):
     """The decision prologue: state_check, then c's certificate with one
     ppt_<part> check per bipartition; returns (cert, {part: verdict})."""
-    state_check(c, is_cp, tol)
+    state_check(c, tol)
     cert = Certificate(family, c.d, {
         "a_e": c.a_e, "a_12": c.a_12, "a_13": c.a_13, "a_23": c.a_23,
         "re_123": c.r, "im_123": c.s}, tolerances=asdict(tol))
@@ -279,6 +311,8 @@ def linspace(lo, hi, n):
 def grid_points(grid):
     """(A, B, C, sign) over a compact (A-B, C, sign) grid at A+B=1."""
     grid = integer(grid, "witness grid", 2, ContractError)
+    if grid > MAX_GRID:
+        raise ContractError(f"witness grid must be <= {MAX_GRID}, got {grid}")
     for u in linspace(-1.0, 1.0, grid):
         A, B = (1 + u) / 2, (1 - u) / 2
         cmax = math.sqrt(A * B)
@@ -287,23 +321,20 @@ def grid_points(grid):
             yield A, B, C, -1
 
 
-def extremal_grid(extremal_fn, types, d, grid):
-    """Extremals of the given continuous types over grid_points; grid
-    points the closed forms reject are skipped."""
+def catalogue(cls, d, grid):
+    """Witness rows (id, tuple6) of family cls: its fixed types, then its
+    swept types over grid_points, skipping the points realize refuses."""
+    d = integer(d, "d", cls.MIN_D)
+    fixed, swept = cls.types(d)
+    rows = [(t, realize(cls, t, 0.0, 0.0, 0.0, +1, d)) for t in fixed]
     for A, B, C, sign in grid_points(grid):
-        for t in types:
+        for t in swept:
             try:
-                yield extremal_fn(t, A, B, C, sign, d)
+                rows.append((f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]",
+                             realize(cls, t, A, B, C, sign, d)))
             except ContractError:
                 pass
-
-
-def grid_rows(realize_fn, types, d, grid):
-    """Rows (id, tuple6) of extremal_grid, realize_fn -> tuple6."""
-    def row(t, A, B, C, sign, d):
-        tup = realize_fn(t, A, B, C, sign, d)
-        return f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]", tup
-    return list(extremal_grid(row, types, d, grid))
+    return rows
 
 
 def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):

@@ -3,9 +3,11 @@ covariant maps L_sigma indexed by S3 permutations.
 
 An invariant operator is X = sum_sigma a_sigma V_sigma over the six
 permutation operators; the dual maps L_sigma have unnormalized Choi matrix
-V_sigma.  Positivity, CP, and CCP of coefficient combinations reduce to
-scalar inequalities and the closed-form spectrum of a single 2x2 block via
-the C (+) C (+) M_2(C) block decomposition of the invariant algebra.
+V_sigma.  S3Coeffs states the family as data: the V basis, the positivity
+margins and the extremal Types I-III.  s3 answers the rest from them:
+positivity, CP, CCP and each partial transpose reduce to scalar inequalities
+and the closed-form spectrum of a single 2x2 block via the C (+) C (+) M_2(C)
+block decomposition of the invariant algebra.
 """
 
 import math
@@ -16,8 +18,10 @@ from .choi import LinMap
 from .linalg import DEFAULT_TOL, ContractError, finite_number, integer
 from .twirl import build_V
 
-# perfbench's tracer times min_margin through this name.
+# perfbench's tracer times these names by family; the s3 functions answer.
 Table2Block = s3.Table2Block
+is_positive_w3, is_cp_w3, is_ccp_w3, ppt_w3 = (s3.is_positive, s3.is_cp,
+                                               s3.is_ccp, s3.ppt)
 
 
 class S3Coeffs(s3.Coeffs):
@@ -26,6 +30,19 @@ class S3Coeffs(s3.Coeffs):
 
     MIN_D = 3
     TRANSPOSED = ""
+    # extremal type -> its raw tuple6 at (A, B, C, rt = +-sqrt(AB - C^2), d)
+    TUPLES = {
+        "I": lambda A, B, C, rt, d: (1.0, -1.0, -1.0, -1.0, 1.0, 0.0),
+        "II": lambda A, B, C, rt, d: (0.0, A, B, 0.0, C, rt),
+        "III": lambda A, B, C, rt, d: (
+            (A + B + 2 * C) / 2, (A - B - 2 * C) / 2, (-A + B - 2 * C) / 2,
+            (A + B + 2 * C) / 2, -(A + B) / 2, rt),
+    }
+
+    @staticmethod
+    def types(d):
+        """(fixed types, types swept over the witness grid)."""
+        return ("I",), ("II", "III")
 
     @staticmethod
     def margins6(d, t):
@@ -53,52 +70,10 @@ def invariant_matrix(c: S3Coeffs):
     return s3.invariant_matrix(c, build_V)
 
 
-def positivity_margins_w3(c: S3Coeffs):
-    return S3Coeffs.margins6(c.d, c.as_tuple6())
-
-
-def is_positive_w3(c: S3Coeffs, tol=DEFAULT_TOL):
-    return s3.positive6(S3Coeffs, c.d, c.as_tuple6(), tol)
-
-
-def is_cp_w3(c: S3Coeffs, tol=DEFAULT_TOL):
-    """CP of the map / PSD-ness of the invariant matrix itself."""
-    return s3.classify_cut(c, "", tol)[0] != "false"
-
-
-def is_ccp_w3(c: S3Coeffs, tol=DEFAULT_TOL):
-    """CCP of the map / PSD-ness of the A-partial-transposed matrix."""
-    return s3.classify_cut(c, "A", tol)[0] != "false"
-
-
-def ppt_w3(c: S3Coeffs, tol=DEFAULT_TOL):
-    """Three partial-transpose verdicts for the invariant state."""
-    return {part: s3.classify_cut(c, part[0], tol)[0] != "false"
-            for part in s3.CUTS}
-
-
-def _realize_w3(type_name, A, B, C, sign, d):
-    """The s3.realize tuple6 of a Type I/II/III map."""
-    if type_name not in ("I", "II", "III"):
-        raise ContractError(f"unknown extremal type {type_name!r}")
-    if type_name != "I":
-        s3.check_params(A, B, C)
-    ss = s3.signed_root(A, B, C, sign)
-    if type_name == "I":
-        tup = (1.0, -1.0, -1.0, -1.0, 1.0, 0.0)
-    elif type_name == "II":
-        tup = (0.0, A, B, 0.0, C, ss)
-    else:
-        tup = ((A + B + 2 * C) / 2, (A - B - 2 * C) / 2,
-               (-A + B - 2 * C) / 2, (A + B + 2 * C) / 2,
-               -(A + B) / 2, ss)
-    return s3.realize(S3Coeffs, d, type_name, (A, B, C), tup)
-
-
 def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> S3Coeffs:
     """Coefficients of the extremal trace-preserving positive covariant map
     of Type I/II/III."""
-    return S3Coeffs.from_tuple6(d, _realize_w3(type_name, A, B, C, sign, d))
+    return s3.extremal(S3Coeffs, type_name, A, B, C, sign, d)
 
 
 def witness_L0(d) -> S3Coeffs:
@@ -144,11 +119,9 @@ def t_max(d=3):
 
 
 def _witness_coeff_grid(d, grid):
-    """Rows (id, tuple6) of the witness family: L0, Type I, and Types II/III
-    over s3.grid_points."""
-    return ([("L0", witness_L0(d).as_tuple6()),
-             ("I", extremal_w3("I", d=d).as_tuple6())]
-            + s3.grid_rows(_realize_w3, ("II", "III"), d, grid))
+    """Rows (id, tuple6) of the witness family: L0, then s3.catalogue."""
+    return ([("L0", witness_L0(d).as_tuple6())]
+            + s3.catalogue(S3Coeffs, d, grid))
 
 
 def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
@@ -159,7 +132,7 @@ def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
     entanglement across A-BC; a PPT failure proves entanglement too; otherwise
     the verdict is inconclusive at the chosen grid resolution.
     """
-    cert, ppt = s3.open_certificate("werner3", c, is_cp_w3, tol)
+    cert, ppt = s3.open_certificate("werner3", c, tol)
     rows = _witness_coeff_grid(c.d, grid)
     mins, ok = s3.witness_sweep(cert, c, rows, tol)
     worst = mins.index(min(mins))

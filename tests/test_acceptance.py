@@ -347,7 +347,7 @@ def test_criterion_09_quo_extremals_and_ppt_states():
         for row in cs:
             c = quo.QuoCoeffs(d, row[0].real, row[1].real, row[2].real,
                               row[3].real, row[4])
-            margins = quo.positivity_margins_quo(c)
+            margins = c.margins6(c.d, c.as_tuple6())
             g = s3.G_iso(s3.relabel(
                 werner3.S3Coeffs(d, c.a_e, c.a_12, c.a_13, c.a_23, c.a_123),
                 "13")).min_margin()
@@ -436,7 +436,7 @@ def test_criterion_12_d2_relation_and_quo_oracle():
     for i in range(10000):
         c = quo.QuoCoeffs(d, v[i, 0], v[i, 1], v[i, 2], v[i, 3],
                           complex(v[i, 4], v[i, 5]))
-        if any(abs(m) < 1e-6 for m in quo.positivity_margins_quo(c)):
+        if any(abs(m) < 1e-6 for m in c.margins6(c.d, c.as_tuple6())):
             continue
         assert quo.is_positive_quo(c) == numeric[i], i
         checked += 1

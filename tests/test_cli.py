@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from covwit import serialize, werner3
+from covwit import linalg, s3, serialize, werner3
 from covwit.cli import main, parse_coeffs, parse_number
 from covwit.linalg import ContractError
 from covwit.werner3 import rho_t_coeffs
@@ -212,6 +212,25 @@ def test_exit_code_invalid_input(capsys):
                     "1,0,0,0,0,0", "--tol-eq", tol]) == 1
     assert run(["certify", "quo", "--d", "3", "--coeffs",
                 "1/27,0,0,0,0,0", "--tol-psd", "nan"]) == 1
+    # the trace bound grows with the trace's terms, not with d^3 alone
+    for fam in ("werner3", "quo"):
+        for d in (2155, 10**4):
+            assert run(["certify", fam, "--d", str(d), "--coeffs",
+                        "0,0,0,0,0,0"]) == 1
+        assert run(["certify", fam, "--d", "465", "--coeffs",
+                    f"{0.99 / 465**3!r},0,0,0,0,0"]) == 1
+    assert run(["certify", "werner3", "--d", "3", "--coeffs",
+                "1/27,0,0,0,0,0", "--grid", str(s3.MAX_GRID + 1)]) == 1
+    capsys.readouterr()
+    huge = str(linalg.MAX_INT + 1)  # past the largest exact float integer
+    for argv in (["certify", "hh", "--a", "1", "--b", "0", "--c", "0"],
+                 ["certify", "werner3", "--coeffs", "1,0,0,0,0,0"],
+                 ["certify", "quo", "--coeffs", "1,0,0,0,0,0"],
+                 ["state", "rho-t", "--t", "1"],
+                 ["regions", "hh", "--emit", "vertices"],
+                 ["sweep", "hh", "--grid", "2"]):
+        _one_line_error(capsys, argv + ["--d", huge])
+    assert run(["state", "rho-t", "--d", str(linalg.MAX_INT), "--t", "1"]) == 0
     capsys.readouterr()
     _one_line_error(capsys, ["sweep", "hh", "--d", "1", "--grid", "2"])
     _one_line_error(capsys, ["selftest", "--seed", "-1"])

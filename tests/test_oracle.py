@@ -45,7 +45,7 @@ def test_brute_positive_orbit_vs_sample():
         v = rng.uniform(-1, 1, size=6)
         c = werner3.S3Coeffs(3, v[0], v[1], v[2], v[3],
                              complex(v[4], v[5]))
-        if any(abs(m) < 1e-6 for m in werner3.positivity_margins_w3(c)):
+        if any(abs(m) < 1e-6 for m in c.margins6(c.d, c.as_tuple6())):
             continue
         m = werner3.build_map(c)
         orbit = brute_positive_orbit(m)[0]

@@ -73,7 +73,7 @@ def test_state_check_is_invariant_under_the_d2_relation(lam):
     assert (quo.decide_quo(shifted, grid=4).verdict
             == quo.decide_quo(c, grid=4).verdict)
     with pytest.raises(ContractError, match="not a normalized state"):
-        s3.state_check(c.scale_by(1 + 1e-6), quo.is_cp_quo)
+        s3.state_check(c.scale_by(1 + 1e-6))
 
 
 def test_coeffs_validation():
@@ -100,7 +100,7 @@ def test_positivity_closed_form_vs_orbit_oracle(d):
     rng = np.random.default_rng(d)
     for _ in range(300):
         c = random_coeffs(rng, d)
-        if any(abs(m) < 1e-7 for m in quo.positivity_margins_quo(c)):
+        if any(abs(m) < 1e-7 for m in c.margins6(c.d, c.as_tuple6())):
             continue
         assert quo.is_positive_quo(c) == \
             brute_positive_orbit(quo.build_map(c))[0], c
@@ -236,10 +236,9 @@ def test_ppt_transfer_example():
 
 def test_state_check_rejects():
     with pytest.raises(ContractError):
-        s3.state_check(quo.QuoCoeffs(3, 1.0, 0, 0, 0, 0),  # trace 27
-                       quo.is_cp_quo)
+        s3.state_check(quo.QuoCoeffs(3, 1.0, 0, 0, 0, 0))  # trace 27
     # normalized but not PSD
     c = quo.QuoCoeffs(3, 0.0, 0.0, 0.0, 1.0 / 9, 0)
     if not quo.is_cp_quo(c):
         with pytest.raises(ContractError):
-            s3.state_check(c, quo.is_cp_quo)
+            s3.state_check(c)

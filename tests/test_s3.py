@@ -24,7 +24,6 @@ FAMILIES = {
                 werner3._witness_coeff_grid),
     "quo": (quo, quo.QuoCoeffs, quo.build_M, quo._witness_rows),
 }
-IS_CP = {"werner3": werner3.is_cp_w3, "quo": quo.is_cp_quo}
 CASES = [("werner3", d) for d in (3, 4, 5)] + [("quo", d) for d in (2, 3, 4)]
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -63,7 +62,7 @@ def test_witness_sweep_matches_dense_images(case, v, state, shrink, extra):
     mod, cls, build_one, catalogue = FAMILIES[family]
     c = as_state(cls, d, v, shrink) if state else cls.from_tuple6(d, v)
     if state:
-        s3.state_check(c, IS_CP[family])
+        s3.state_check(c)
     rows = catalogue(d, 4) + [("random", w) for w in extra]
     cert = Certificate(family, d, {})
     mins, _ = s3.witness_sweep(cert, c, rows, DEFAULT_TOL)
@@ -74,17 +73,13 @@ def test_witness_sweep_matches_dense_images(case, v, state, shrink, extra):
     assert cert.checks["witness_sweep"]["evidence"]["count"] == len(rows)
 
 
-def _fixed_rows_and_grid(family, d):
-    """The catalogue's fixed (id, Coeffs) rows, its extremal_fn and the
-    types it sweeps over the grid."""
-    if family == "werner3":
-        return ([("L0", werner3.witness_L0(d)),
-                 ("I", werner3.extremal_w3("I", d=d))],
-                werner3.extremal_w3, ("II", "III"))
-    if d >= 3:
-        return ([(t, quo.extremal_quo(t, d=d)) for t in ("I", "II")],
-                quo.extremal_quo, ("III", "IV"))
-    return [], quo.extremal_quo, ("I'", "II'")
+# family -> (its public extremal function, its fixed and swept types at d)
+EXTREMALS = {
+    "werner3": (werner3.extremal_w3, lambda d: (("I",), ("II", "III"))),
+    "quo": (quo.extremal_quo,
+            lambda d: ((("I", "II"), ("III", "IV")) if d >= 3
+                       else ((), ("I'", "II'")))),
+}
 
 
 @pytest.mark.parametrize("grid", [2, 3, 16])
@@ -92,16 +87,21 @@ def _fixed_rows_and_grid(family, d):
                          + [("quo", d) for d in (2, 3, 4, 5)])
 def test_catalogue_rows_are_the_public_extremals(case, grid):
     """One path: every catalogue row is the as_tuple6() of the extremal
-    the public extremal_* makes at that grid point, in order."""
+    the public extremal_* makes at that grid point, in order; the grid
+    points extremal_* refuses are the ones the catalogue skips."""
     family, d = case
-    fixed, extremal_fn, types = _fixed_rows_and_grid(family, d)
-
-    def row(t, A, B, C, sign, d):
-        return (f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]",
-                extremal_fn(t, A, B, C, sign, d).as_tuple6())
-
-    want = [(i, c.as_tuple6()) for i, c in fixed] + list(
-        s3.extremal_grid(row, types, d, grid))
+    extremal_fn, types = EXTREMALS[family]
+    fixed, swept = types(d)
+    want = ([("L0", werner3.witness_L0(d).as_tuple6())]
+            if family == "werner3" else [])
+    want += [(t, extremal_fn(t, d=d).as_tuple6()) for t in fixed]
+    for A, B, C, sign in s3.grid_points(grid):
+        for t in swept:
+            try:
+                want.append((f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]",
+                             extremal_fn(t, A, B, C, sign, d).as_tuple6()))
+            except ContractError:
+                pass
     assert FAMILIES[family][3](d, grid) == want
 
 
@@ -231,6 +231,10 @@ D_SITES = {
     "hh.extremals": (2, hh.extremals),
     "rho_t_coeffs": (3, lambda d: werner3.rho_t_coeffs(d, 1)),
     "t_max": (3, werner3.t_max),
+    "extremal_w3": (3, lambda d: werner3.extremal_w3("I", d=d)),
+    "extremal_quo": (2, lambda d: quo.extremal_quo("III", 0.5, 0.5, 0.0,
+                                                   -1, d)),
+    "witness_L0": (3, werner3.witness_L0),
     "twirl.hh_basis": (2, twirl.hh_basis),
     "LinMap.d_in": (1, lambda d: LinMap(d, 1, np.eye(3))),
     "LinMap.d_out": (1, lambda d: LinMap(1, d, np.eye(3))),
@@ -268,7 +272,7 @@ def test_numpy_integer_d_and_grid_serialize_as_int(num):
         assert type(got) is int and got == 3
 
 
-@pytest.mark.parametrize("bad", [4.5, True, 1, "4", None])
+@pytest.mark.parametrize("bad", [4.5, True, 1, "4", None, s3.MAX_GRID + 1])
 def test_bad_grids_are_contract_errors(bad):
     for decide, c in ((werner3.detect_entanglement_w3,
                        werner3.rho_t_coeffs(3, 1)),

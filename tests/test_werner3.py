@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covwit import s3, werner3 as w3
+from covwit import quo, s3, werner3 as w3
 from covwit.linalg import (ContractError, DimensionError, flip, is_psd,
                            partial_transpose)
 from covwit.oracle import brute_positive_orbit
@@ -98,7 +98,7 @@ def test_positivity_closed_form_vs_orbit_oracle(d):
     rng = np.random.default_rng(d)
     for _ in range(300):
         c = random_coeffs(rng, d)
-        if any(abs(m) < 1e-7 for m in w3.positivity_margins_w3(c)):
+        if any(abs(m) < 1e-7 for m in c.margins6(c.d, c.as_tuple6())):
             continue
         assert w3.is_positive_w3(c) == \
             brute_positive_orbit(w3.build_map(c))[0]
@@ -158,6 +158,16 @@ def test_extremal_rejects_bad_params():
         w3.extremal_w3("II", A=0.1, B=0.1, C=0.9)
     with pytest.raises(ContractError):
         w3.extremal_w3("X")
+    with pytest.raises(ContractError):
+        quo.extremal_quo("III", d=2)  # I'/II' at d = 2
+    for extremal_fn, t in ((w3.extremal_w3, "II"), (quo.extremal_quo, "III")):
+        for bad in ("x", None, True, float("nan"), float("inf"), 1j):
+            for name in "ABC":
+                with pytest.raises(ContractError):
+                    extremal_fn(t, **{"A": 0.5, "B": 0.5, name: bad})
+        for bad in (float("nan"), 1.0, 0, 2, -2, True, "1"):
+            with pytest.raises(ContractError):
+                extremal_fn(t, 0.5, 0.5, 0.0, bad)
 
 
 def test_witness_L0_canonical_form():
@@ -173,7 +183,7 @@ def test_rho_t_is_state():
         rho = w3.invariant_matrix(c)
         assert np.isclose(np.trace(rho).real, 1.0)
         assert is_psd(rho)[0]
-        s3.state_check(c, w3.is_cp_w3)
+        s3.state_check(c)
     with pytest.raises(ContractError):
         w3.rho_t_coeffs(3, 0.0)
 
