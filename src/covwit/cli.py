@@ -6,6 +6,7 @@ regions hh, sweep hh, selftest.  Exit codes: 0 success, 1 invalid input,
 """
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
@@ -173,24 +174,21 @@ def cmd_regions(args):
 def cmd_sweep(args):
     d = integer(args.d, "--d", 3, ContractError)
     n = integer(args.grid, "--grid", 2, ContractError)
-    lines = ["a,b,c,positive,cp,ccp,ppt,eb"]
-    for a in np.linspace(0.0, d / (d - 1), n):
-        for b in np.linspace(-1.0, 1.0, n):
-            for c in np.linspace(-1.0, 1.0, n):
-                co = hh.HHCoeffs(d, a, b, c)
-                pos = hh.is_positive(co)[0]
-                cp = hh.is_cptp(co)
-                ccp = hh.is_ccp(co)
-                ppt = cp and ccp
-                lines.append("%.17g,%.17g,%.17g,%d,%d,%d,%d,%d"
-                             % (a, b, c, pos, cp, ccp, ppt, ppt))
-    text = "\n".join(lines) + "\n"
+    if n > s3.MAX_GRID:
+        raise ContractError(f"--grid must be <= {s3.MAX_GRID}, got {n}")
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write("a,b,c,positive,cp,ccp,ppt,eb\n")  # each row as it is made
+        for a in np.linspace(0.0, d / (d - 1), n):
+            for b in np.linspace(-1.0, 1.0, n):
+                for c in np.linspace(-1.0, 1.0, n):
+                    co = hh.HHCoeffs(d, a, b, c)
+                    pos, cp = hh.is_positive(co)[0], hh.is_cptp(co)
+                    ccp = hh.is_ccp(co)
+                    fh.write("%.17g,%.17g,%.17g,%d,%d,%d,%d,%d\n" % (
+                        a, b, c, pos, cp, ccp, cp and ccp, cp and ccp))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
         print(f"wrote {n**3} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

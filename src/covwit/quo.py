@@ -97,8 +97,8 @@ def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> QuoCoeffs:
 
 
 def _witness_rows(d, grid):
-    """Catalogue rows (id, tuple6): s3.catalogue of the T basis."""
-    return s3.catalogue(QuoCoeffs, d, grid)
+    """s3.catalogue of the T basis as a list of (id, tuple6)."""
+    return [(s3.witness_id(k), t) for k, t in s3.catalogue(QuoCoeffs, d, grid)]
 
 
 def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
@@ -106,14 +106,13 @@ def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
 
     The closed-form PPT verdict is decisive; the least eigenvalue of the
     A-partial transpose, read off its block form, and a sweep over extremal
-    witnesses of every type are recorded as confirming evidence.
+    witnesses of every type, streamed in one pass, are recorded as
+    confirming evidence.
     """
     cert, ppt = s3.open_certificate("quo", c, tol)
     cert.add_check("separable_A-BC", ppt["A-BC"],
                    margin=cert.checks["ppt_A-BC"]["evidence"]["margin"])
-    rows = _witness_rows(c.d, grid)
-    mins, _ = s3.witness_sweep(cert, c, rows, tol)
-    worst = mins.index(min(mins))
-    cert.witnesses.append({"id": rows[worst][0], "min_eig": mins[worst]})
+    rows = s3.catalogue(QuoCoeffs, c.d, grid)
+    cert.witnesses.append(s3.witness_sweep(cert, c, rows, tol)[1])
     cert.verdict = "ENTANGLED" if ppt["A-BC"] == "false" else "SEPARABLE"
     return cert

@@ -6,16 +6,17 @@ V_sigma^{T_B}.  A family is data on its coefficient class: its basis
 (TRANSPOSED), positivity margins (margins6) and extremal types (TUPLES,
 types).  This module answers the rest once for both: every PSD question
 through the two block forms of the V_sigma algebra that block(c, cut)
-picks, the extremal maps, the witness catalogue and its sweep.
+picks, the extremal maps, the witness catalogue and its one-pass sweep.
 """
 
 import cmath
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 from .certificate import Certificate
-from .linalg import (DEFAULT_TOL, ContractError, NumericalError, check_dense,
-                     classify, finite_number, integer, least)
+from .linalg import (DEFAULT_TOL, ContractError, NumericalError, band,
+                     check_dense, classify, finite_number, integer, least)
 
 TP_TOL = 1e-12
 GRID = 16  # default witness grid of both decision functions and --grid
@@ -221,8 +222,16 @@ def positive6(cls, d, t, tol=DEFAULT_TOL):
         m, scale = cls.margins6(d, t), cls.scale6(d, t)
     except OverflowError as exc:
         raise NumericalError(f"the positivity margins overflow: {exc}")
-    return (classify(least(m[:-1]), scale, tol) != "false"
-            and classify(m[-1], scale, tol, degree=2) != "false")
+    lin, quad = m[:-1], m[-1]
+    lo = min(lin)
+    if (math.isnan(sum(lin)) or not math.isfinite(lo)
+            or not math.isfinite(scale)):
+        raise NumericalError(f"margins {lin} at scale {scale}: an overflow")
+    if lo < -band(scale, tol):
+        return False
+    if not math.isfinite(quad):
+        raise NumericalError(f"margin {quad} at scale {scale} is not finite")
+    return quad >= -band(scale, tol, 2)
 
 
 def realize(cls, type_name, A, B, C, sign, d):
@@ -322,49 +331,65 @@ def grid_points(grid):
 
 
 def catalogue(cls, d, grid):
-    """Witness rows (id, tuple6) of family cls: its fixed types, then its
-    swept types over grid_points, skipping the points realize refuses."""
+    """Witness rows (key, tuple6) of cls, one at a time: fixed types by name,
+    then swept ones by (type, A, B, C, sign) where realize accepts them."""
     d = integer(d, "d", cls.MIN_D)
     fixed, swept = cls.types(d)
-    rows = [(t, realize(cls, t, 0.0, 0.0, 0.0, +1, d)) for t in fixed]
+    for t in fixed:
+        yield t, realize(cls, t, 0.0, 0.0, 0.0, +1, d)
     for A, B, C, sign in grid_points(grid):
         for t in swept:
             try:
-                rows.append((f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]",
-                             realize(cls, t, A, B, C, sign, d)))
+                yield (t, A, B, C, sign), realize(cls, t, A, B, C, sign, d)
             except ContractError:
                 pass
-    return rows
 
 
-def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):
-    """Smallest eigenvalue of (id (x) W*)(rho) for every catalogue row W,
-    rho = sum_sigma c_sigma X_sigma.
+def witness_id(key):
+    """The id of a row key: a name, or type[A,B,C,sign] for a swept one."""
+    return (key if isinstance(key, str)
+            else "{}[{:.4f},{:.4f},{:.4f},{:+d}]".format(*key))
 
-    Each image (id (x) X_sigma*)(rho) lies in span{I, d Omega}: its
+
+def gram6(c: Coeffs):
+    """kg . tuple6(w) = sum_sigma w_sigma Tr(rho X_sigma), w as PERMS."""
+    d, v = c.d, c.vector()
+    g = [sum(d**k * x for k, x in zip(row, v)) for row in CYCLES[:5]]
+    return (g[0].real, g[1].real, g[2].real, g[3].real, 2 * g[4].real,
+            -2 * g[4].imag)
+
+
+def witness_minima(c: Coeffs, rows):
+    """(key, least eigenvalue of (id (x) W*)(rho)) for each row (key, W) in
+    turn.  Each image (id (x) X_sigma*)(rho) lies in span{I, d Omega}: its
     eigenvalue on Omega is g_sigma / d, g_sigma = Tr(rho X_sigma), and its
     trace, d g_e, g_e, g_e, d g_23, g_23, g_23, fixes its eigenvalue on the
-    other d^2 - 1 directions.  Records the witness_sweep check at the scale
-    ||rho||_F = sqrt(v . g) and returns (minima, whether it passes).
-    """
-    d = c.d
-    v = c.vector()
-    g = [sum(d**k * x for k, x in zip(row, v)) for row in CYCLES[:5]]
-    # g_132 = conj(g_123), so w . g = kg . tuple6(w) for every w ordered
-    # as PERMS: each eigenvalue of a row's image is six real multiply-adds.
-    kg = (g[0].real, g[1].real, g[2].real, g[3].real, 2 * g[4].real,
-          -2 * g[4].imag)
+    other d^2 - 1 directions; g_132 = conj(g_123) leaves six real terms."""
+    d, kg = c.d, gram6(c)
     o0, o1, o2, o3, o4, o5 = omega = [k / d for k in kg]
     traces = (d * kg[0], kg[0], kg[0], d * kg[3], 2 * kg[3], 0.0)
     a0, a1, a2, a3, a4, a5 = [(t - o) / (d * d - 1)
                               for t, o in zip(traces, omega)]
-    mins = []
-    for _, (e, x, y, z, r, s) in rows:
+    for key, (e, x, y, z, r, s) in rows:
         p = e * a0 + x * a1 + y * a2 + z * a3 + r * a4 + s * a5
         q = e * o0 + x * o1 + y * o2 + z * o3 + r * o4 + s * o5
-        mins.append(p if p < q else q)
-    lo = least(mins)
-    vg = sum(k * t for k, t in zip(kg, c.as_tuple6()))
+        yield key, (p if p < q else q)
+
+
+def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):
+    """One pass of witness_minima over one or more rows; a NaN minimum is a
+    NumericalError.  Records the witness_sweep check at ||rho||_F and returns
+    the first row, the first of least minimum (as witnesses) and the pass."""
+    pairs = witness_minima(c, rows)
+    first = worst = next(pairs)
+    lo = math.inf
+    for n, pair in enumerate(chain((first,), pairs), 1):
+        if not pair[1] >= lo:  # a new least, or NaN
+            if pair[1] != pair[1]:
+                raise NumericalError("a witness minimum is NaN: overflow")
+            worst, lo = pair, pair[1]
+    vg = sum(k * t for k, t in zip(gram6(c), c.as_tuple6()))
     verdict = classify(lo, math.sqrt(max(vg, 0.0)), tol)
-    cert.add_check("witness_sweep", verdict, count=len(rows), min_eig=lo)
-    return mins, verdict != "false"
+    cert.add_check("witness_sweep", verdict, count=n, min_eig=lo)
+    out = [{"id": witness_id(k), "min_eig": m} for k, m in (first, worst)]
+    return out[0], out[0] if worst is first else out[1], verdict != "false"

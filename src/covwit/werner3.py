@@ -11,6 +11,7 @@ block decomposition of the invariant algebra.
 """
 
 import math
+from itertools import chain
 
 from . import s3
 from .certificate import Certificate
@@ -118,10 +119,15 @@ def t_max(d=3):
     return (b + math.sqrt(b * b + 4 * a * c)) / (2 * a)
 
 
+def witness_rows(d, grid):
+    """Rows (key, tuple6), one at a time: L0, then s3.catalogue."""
+    return chain((("L0", witness_L0(d).as_tuple6()),),
+                 s3.catalogue(S3Coeffs, d, grid))
+
+
 def _witness_coeff_grid(d, grid):
-    """Rows (id, tuple6) of the witness family: L0, then s3.catalogue."""
-    return ([("L0", witness_L0(d).as_tuple6())]
-            + s3.catalogue(S3Coeffs, d, grid))
+    """witness_rows as a list of (id, tuple6)."""
+    return [(s3.witness_id(k), t) for k, t in witness_rows(d, grid)]
 
 
 def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
@@ -130,15 +136,12 @@ def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
 
     Any witness with (id (x) L*)(rho) acquiring a negative eigenvalue proves
     entanglement across A-BC; a PPT failure proves entanglement too; otherwise
-    the verdict is inconclusive at the chosen grid resolution.
+    the verdict is inconclusive at the chosen grid resolution.  The
+    certificate names L0 and the first worse row, if there is one.
     """
     cert, ppt = s3.open_certificate("werner3", c, tol)
-    rows = _witness_coeff_grid(c.d, grid)
-    mins, ok = s3.witness_sweep(cert, c, rows, tol)
-    worst = mins.index(min(mins))
-    cert.witnesses.append({"id": rows[0][0], "min_eig": mins[0]})
-    if worst != 0:
-        cert.witnesses.append({"id": rows[worst][0], "min_eig": mins[worst]})
+    first, worst, ok = s3.witness_sweep(cert, c, witness_rows(c.d, grid), tol)
+    cert.witnesses += [first] if worst is first else [first, worst]
     if not ok:
         cert.verdict = "ENTANGLED"
     elif "false" in ppt.values():

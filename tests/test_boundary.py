@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from covwit import hh, quo, werner3
-from covwit.certificate import VERDICTS
+from covwit import hh, quo, s3, werner3
+from covwit.certificate import VERDICTS, Certificate
 from covwit.linalg import (NumericalError, Tolerances, band, classify,
                            partial_transpose)
 
@@ -29,6 +29,15 @@ def test_classify_band_and_degree():
     assert classify(0.0, 0.0) == "boundary"
 
 
+def _sweep_with_nan_row(at):
+    """s3.witness_sweep over grid-2 catalogue rows with a NaN row at index
+    at of the list."""
+    c = werner3.rho_t_coeffs(3, 1.0)
+    rows = werner3._witness_coeff_grid(3, 2)
+    rows.insert(at % (len(rows) + 1), ("nan", (float("nan"),) * 6))
+    s3.witness_sweep(Certificate("werner3", 3, {}), c, rows)
+
+
 # NaN and overflow inside a closed form; Python's min keeps or drops a NaN
 # by where it sits, and abs of a complex and ** raise OverflowError.
 OVERFLOWS = {
@@ -39,6 +48,9 @@ OVERFLOWS = {
         quo.QuoCoeffs(3, 1e308, -1e308, 1e308, 1e308, 1e308)),
     "is_positive_w3-square": lambda: werner3.is_positive_w3(
         werner3.S3Coeffs(3, 1e200, 1e200, 1e200, -1e200, 0)),
+    "witness_sweep-nan-first": lambda: _sweep_with_nan_row(0),
+    "witness_sweep-nan-middle": lambda: _sweep_with_nan_row(9),
+    "witness_sweep-nan-last": lambda: _sweep_with_nan_row(-1),
 }
 
 

@@ -201,6 +201,8 @@ def test_exit_code_invalid_input(capsys):
     assert run(["certify", "werner3", "--d", "2", "--coeffs",
                 "1,0,0,0,0,0"]) == 1
     assert run(["sweep", "hh", "--d", "3", "--grid", "1"]) == 1
+    assert run(["sweep", "hh", "--d", "3", "--grid",
+                str(s3.MAX_GRID + 1)]) == 1
     assert run(["twirl", "--family", "oo", "--matrix-file",
                 "/nonexistent.json"]) == 1
     assert run(["certify", "werner3", "--d", "3", "--coeffs",

@@ -64,13 +64,68 @@ def test_witness_sweep_matches_dense_images(case, v, state, shrink, extra):
     if state:
         s3.state_check(c)
     rows = catalogue(d, 4) + [("random", w) for w in extra]
-    cert = Certificate(family, d, {})
-    mins, _ = s3.witness_sweep(cert, c, rows, DEFAULT_TOL)
+    mins = [m for _, m in s3.witness_minima(c, rows)]
     ws = [cls.from_tuple6(d, t).vector() for _, t in rows]
     want, norm = dense_minima(mod, build_one, c, ws)
+    assert len(mins) == len(rows)
     for w, got, ref in zip(ws, mins, want):
         assert abs(got - ref) <= 1e-12 * max(1.0, norm * np.linalg.norm(w))
+    cert = Certificate(family, d, {})
+    first, worst, _ = s3.witness_sweep(cert, c, iter(rows), DEFAULT_TOL)
+    evidence = cert.checks["witness_sweep"]["evidence"]
+    assert evidence["count"] == len(rows)
+    assert first == {"id": rows[0][0], "min_eig": mins[0]}
+    assert worst["min_eig"] == evidence["min_eig"] == min(mins)
+
+
+def _sweep(c, rows):
+    cert = Certificate(type(c).__name__, c.d, {})
+    return s3.witness_sweep(cert, c, rows, DEFAULT_TOL)
+
+
+def test_witness_sweep_reports_the_first_of_tied_rows():
+    """Rows with equal minima: the first one listed is the worst witness,
+    and is the first witness itself when the first row is least."""
+    c = werner3.rho_t_coeffs(3, 1.0)
+    lo = werner3.witness_L0(3).as_tuple6()
+    hi = werner3.extremal_w3("I", d=3).as_tuple6()
+    (_, m_lo), (_, m_hi) = s3.witness_minima(c, [("lo", lo), ("hi", hi)])
+    assert m_lo < m_hi
+    rows = [("a", hi), ("b", lo), ("c", lo), ("d", hi), ("e", lo)]
+    first, worst, _ = _sweep(c, rows)
+    assert first == {"id": "a", "min_eig": m_hi}
+    assert worst == {"id": "b", "min_eig": m_lo}
+    first, worst, _ = _sweep(c, iter([("x", lo)] + rows))
+    assert worst is first and first == {"id": "x", "min_eig": m_lo}
+
+
+def test_werner3_witnesses_are_L0_and_the_first_worst_row():
+    """The certificate names L0 alone when L0 is least (rho_t), else L0
+    and the first row of least minimum (the maximally mixed state, whose
+    minimum twelve grid-4 rows share), as a list of the rows finds it."""
+    cert = werner3.detect_entanglement_w3(werner3.rho_t_coeffs(3, 1.0),
+                                          grid=4)
+    assert [w["id"] for w in cert.witnesses] == ["L0"]
+    c = werner3.S3Coeffs.from_tuple6(3, (1 / 27, 0, 0, 0, 0, 0))
+    rows = werner3._witness_coeff_grid(3, 4)
+    mins = [m for _, m in s3.witness_minima(c, rows)]
+    i = mins.index(min(mins))
+    assert i > 0 and mins.count(mins[i]) > 1
+    cert = werner3.detect_entanglement_w3(c, grid=4)
+    assert cert.witnesses == [{"id": "L0", "min_eig": mins[0]},
+                              {"id": rows[i][0], "min_eig": mins[i]}]
     assert cert.checks["witness_sweep"]["evidence"]["count"] == len(rows)
+
+
+def test_catalogue_streams_its_rows():
+    """s3.catalogue yields rows one at a time; the listed forms perfbench
+    reads are lists of (id, tuple6) from the same stream."""
+    rows = s3.catalogue(quo.QuoCoeffs, 2, 4)
+    key, t = next(rows)
+    assert key == ("I'", 0.0, 1.0, 0.0, 1) and len(t) == 6
+    assert s3.witness_id(key) == "I'[0.0000,1.0000,0.0000,+1]"
+    assert quo._witness_rows(2, 4)[0] == (s3.witness_id(key), t)
+    assert isinstance(werner3._witness_coeff_grid(3, 2), list)
 
 
 # family -> (its public extremal function, its fixed and swept types at d)
