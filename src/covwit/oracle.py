@@ -237,6 +237,28 @@ def selftest(seed=0, level="quick", out=print):
 
     check("quo-extremals-cp-or-ccp", quo_extremal)
 
+    def w3_exact():
+        n = 6 if big else 2
+        worst = 0.0
+        for d in (3, 4):
+            grid = np.array([werner3.extremal_w3("III", *p, d=d).vector()
+                             for p in s3.grid_points(16)])
+            for _ in range(n):
+                c = _random_ppt_w3(rng, d)
+                rho = werner3.invariant_matrix(c)
+                ks = np.array([werner3.build_L(s, d).adjoint().id_tensor(
+                    rho, d) for s in s3.PERMS])
+                (key, t), = s3.exact_rows(c)
+                (_, m), = s3.witness_minima(c, [(key, t)])
+                w = werner3.S3Coeffs.from_tuple6(d, t).vector()
+                dense = _least_images([w], ks)[0]
+                scale = float(np.linalg.norm(rho))
+                worst = max(worst, abs(dense - m) / scale,
+                            (dense - _least_images(grid, ks).min()) / scale)
+        return worst <= 1e-9, f"worst excess {worst:.1e} of ||rho||_F"
+
+    check("werner3-exact-type-iii", w3_exact)
+
     def twirl_laws():
         worst = 0.0
         for d in (2, 3):
@@ -290,6 +312,25 @@ def _random_cptp_hh(rng, d):
         co = hh.HHCoeffs(d, a, b, c)
         if hh.is_cptp(co):
             return co
+
+
+def _random_ppt_w3(rng, d):
+    """A werner3 state near I/d^3 that is A-BC PPT."""
+    from . import s3, werner3
+
+    while True:
+        v = (1.0, *rng.uniform(-0.4, 0.4, size=5))
+        c = werner3.S3Coeffs.from_tuple6(d, v)
+        c = c.scale_by(1.0 / c.trace())
+        if s3.is_cp(c) and s3.ppt(c)["A-BC"]:
+            return c
+
+
+def _least_images(ws, ks):
+    """Least eigenvalue of sum_sigma w_sigma K_sigma for each w in ws."""
+    out = np.tensordot(np.asarray(ws), ks, axes=([1], [0]))
+    return np.linalg.eigvalsh((out + np.conj(np.swapaxes(out, 1, 2))) / 2)[
+        :, 0]
 
 
 def _random_coeffs(cls, rng, d):

@@ -37,6 +37,9 @@ class QuoCoeffs(s3.Coeffs):
         "IV": lambda A, B, C, rt, d: (0.0, 0.0, A + B - 2 * C, B, C - B, rt),
     }
     TUPLES["I'"], TUPLES["II'"] = TUPLES["III"], TUPLES["IV"]
+    # extremal type -> "CP", "CCP" or "neither"; decomposable iff CP or CCP
+    KIND = {"I": "CP", "II": "CCP", "III": "CP", "IV": "CCP", "I'": "CP",
+            "II'": "CCP"}
 
     @staticmethod
     def types(d):

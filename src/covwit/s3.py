@@ -4,9 +4,12 @@ U(x)U(x)U-invariant operators (werner3) are spanned by the six permutation
 operators V_sigma, U(x)Ubar(x)U-invariant ones (quo) by T_sigma =
 V_sigma^{T_B}.  A family is data on its coefficient class: its basis
 (TRANSPOSED), positivity margins (margins6) and extremal types (TUPLES,
-types).  This module answers the rest once for both: every PSD question
-through the two block forms of the V_sigma algebra that block(c, cut)
-picks, the extremal maps, the witness catalogue and its one-pass sweep.
+types, and KIND: CP, CCP or neither).  This module answers the rest once
+for both: every PSD question through the two block forms of the V_sigma
+algebra that block(c, cut) picks, the extremal maps, the witness catalogue
+(the decomposable types over a grid, each point checked once per (class,
+d, grid)), the exact row of each type that is neither, and the one-pass
+sweep.
 """
 
 import cmath
@@ -234,11 +237,10 @@ def positive6(cls, d, t, tol=DEFAULT_TOL):
     return quad >= -band(scale, tol, 2)
 
 
-def realize(cls, type_name, A, B, C, sign, d):
-    """The tuple6 of cls's extremal map type_name at (A, B, C, sign),
-    normalized to trace preservation; ContractError unless it passes cls's
-    margins6.  The inputs are taken as checked: this is the per-row path
-    of the catalogue, and extremal checks them."""
+def normalized(cls, type_name, A, B, C, sign, d):
+    """The tuple6 of cls's type_name at (A, B, C, sign), normalized to trace
+    preservation, unchecked: realize's arithmetic, and the later passes of
+    the catalogue over grid points the first pass checked."""
     root = math.sqrt(max(A * B - C * C, 0.0))
     ae, a12, a13, a23, r, s = cls.TUPLES[type_name](
         A, B, C, root if sign >= 0 else -root, d)
@@ -248,7 +250,14 @@ def realize(cls, type_name, A, B, C, sign, d):
             f"degenerate trace-preservation normalizer for Type {type_name} "
             f"params {(A, B, C)}")
     f = 1.0 / norm
-    t = (f * ae, f * a12, f * a13, f * a23, f * r, f * s)
+    return (f * ae, f * a12, f * a13, f * a23, f * r, f * s)
+
+
+def realize(cls, type_name, A, B, C, sign, d):
+    """normalized(...), and a ContractError unless it passes cls's margins6.
+    The inputs are taken as checked: this is the per-row path of the
+    catalogue, and extremal checks them."""
+    t = normalized(cls, type_name, A, B, C, sign, d)
     if not positive6(cls, d, t):
         raise ContractError(
             f"Type {type_name} tuple failed the positivity inequalities")
@@ -330,19 +339,97 @@ def grid_points(grid):
             yield A, B, C, -1
 
 
+_REFUSED = {}  # (cls, d, grid, swept types) -> grid points realize refused
+
+
 def catalogue(cls, d, grid):
     """Witness rows (key, tuple6) of cls, one at a time: fixed types by name,
-    then swept ones by (type, A, B, C, sign) where realize accepts them."""
+    then the decomposable swept types (KIND "CP" or "CCP") by (type, A, B,
+    C, sign) where realize accepts them; a type that is neither gets
+    exact_rows instead.  The rows depend on (cls, d, grid) alone, so each
+    point is checked once: the first pass to run to its end records the
+    points realize refused, and later passes make the same rows by
+    normalized, skipping those points."""
     d = integer(d, "d", cls.MIN_D)
     fixed, swept = cls.types(d)
+    swept = tuple(t for t in swept if cls.KIND[t] != "neither")
     for t in fixed:
         yield t, realize(cls, t, 0.0, 0.0, 0.0, +1, d)
+    record = (cls, d, grid, swept)
+    refused = _REFUSED.get(record)
+    if refused is None:
+        refused = set()
+        for A, B, C, sign in grid_points(grid):
+            for t in swept:
+                try:
+                    yield (t, A, B, C, sign), realize(cls, t, A, B, C, sign, d)
+                except ContractError:
+                    refused.add((t, A, B, C, sign))
+        _REFUSED[record] = frozenset(refused)
+        return
     for A, B, C, sign in grid_points(grid):
         for t in swept:
+            key = (t, A, B, C, sign)
+            if not (refused and key in refused):
+                yield key, normalized(cls, t, A, B, C, sign, d)
+
+
+def exact_minimum(c: Coeffs, type_name):
+    """(m, (A, B, C, sign)): the least witness eigenvalue m on c over the
+    whole parameter sphere of the swept type_name, and a point attaining it.
+
+    At A + B = 1 a point is x = (A - 1/2, C, +-sqrt(AB - C^2)) on the
+    sphere |x| = 1/2 (the types are homogeneous, so A + B = 1 loses
+    nothing), and the raw tuple6 is affine in x.  Each of the two
+    eigenvalues witness_minima takes of the normalized row is then
+    N(x)/D(x), N and D affine and D the trace normalizer, > 0 on the sphere
+    (>= d - 1 for werner3's Type III).  Write N = mu D + m . x, mu =
+    N(0)/D(0).  min N/D = mu + l, l the root of min_x (m - l dv) . x -
+    l D(0) = -|m - l dv|/2 - l D(0) = 0 (Dinkelbach): the smaller root of
+    (D(0)^2 - |dv|^2/4) l^2 + (m . dv/2) l - |m|^2/4, which is <= 0 and
+    has no cancellation; x* = -(m - l dv)/(2|m - l dv|)."""
+    d, raw = c.d, type(c).TUPLES[type_name]
+    t0 = raw(0.5, 0.5, 0.0, 0.0, d)
+    cols = [[2 * (v - v0) for v, v0 in zip(raw(*p, d), t0)]
+            for p in ((1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.0),
+                      (0.5, 0.5, 0.0, 0.5))]
+
+    def affine(f):  # f . tuple6 as f . t0 + (f . cols) . x
+        return _dot(f, t0), [_dot(f, col) for col in cols]
+
+    d0, dv = affine((d * d, d, d, d, 2, 0))
+    if not d0 - math.hypot(*dv) / 2 > 0:
+        raise NumericalError(f"Type {type_name}'s normalizer is not > 0")
+    qa = d0 * d0 - _dot(dv, dv) / 4
+    best = None
+    for f in branches(c):
+        n0, nv = affine(f)
+        mu = n0 / d0
+        m = [n - mu * e for n, e in zip(nv, dv)]
+        qb, qc = -_dot(m, dv) / 4, _dot(m, m) / 4
+        root = math.sqrt(qb * qb + qa * qc)
+        lo = -qc / (qb + root) if qb > 0 else (qb - root) / qa
+        if best is None or mu + lo < best[0]:
+            best = mu + lo, [v - lo * e for v, e in zip(m, dv)]
+    lam, g = best
+    r = 2 * math.hypot(*g)
+    x = [-v / r for v in g] if r > 0 else [0.5, 0.0, 0.0]
+    return lam, (0.5 + x[0], 0.5 - x[0], x[1], 1 if x[2] >= 0 else -1)
+
+
+def exact_rows(c: Coeffs):
+    """One row for each swept type of c's class that is neither CP nor
+    CCP: its exact_minimum point, realized and checked.  A point realize
+    refuses is a NumericalError, never a skipped row."""
+    cls = type(c)
+    for t in cls.types(c.d)[1]:
+        if cls.KIND[t] == "neither":
+            key = (t, *exact_minimum(c, t)[1])
             try:
-                yield (t, A, B, C, sign), realize(cls, t, A, B, C, sign, d)
-            except ContractError:
-                pass
+                yield key, realize(cls, *key, c.d)
+            except ContractError as exc:
+                raise NumericalError(
+                    f"the exact minimum {witness_id(key)} is refused: {exc}")
 
 
 def witness_id(key):
@@ -359,17 +446,26 @@ def gram6(c: Coeffs):
             -2 * g[4].imag)
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def branches(c: Coeffs):
+    """(alpha, omega): a row's two witness eigenvalues are alpha . t and
+    omega . t on its tuple6 t (witness_minima)."""
+    d, kg = c.d, gram6(c)
+    omega = [k / d for k in kg]
+    traces = (d * kg[0], kg[0], kg[0], d * kg[3], 2 * kg[3], 0.0)
+    return [(t - o) / (d * d - 1) for t, o in zip(traces, omega)], omega
+
+
 def witness_minima(c: Coeffs, rows):
     """(key, least eigenvalue of (id (x) W*)(rho)) for each row (key, W) in
     turn.  Each image (id (x) X_sigma*)(rho) lies in span{I, d Omega}: its
     eigenvalue on Omega is g_sigma / d, g_sigma = Tr(rho X_sigma), and its
     trace, d g_e, g_e, g_e, d g_23, g_23, g_23, fixes its eigenvalue on the
     other d^2 - 1 directions; g_132 = conj(g_123) leaves six real terms."""
-    d, kg = c.d, gram6(c)
-    o0, o1, o2, o3, o4, o5 = omega = [k / d for k in kg]
-    traces = (d * kg[0], kg[0], kg[0], d * kg[3], 2 * kg[3], 0.0)
-    a0, a1, a2, a3, a4, a5 = [(t - o) / (d * d - 1)
-                              for t, o in zip(traces, omega)]
+    (a0, a1, a2, a3, a4, a5), (o0, o1, o2, o3, o4, o5) = branches(c)
     for key, (e, x, y, z, r, s) in rows:
         p = e * a0 + x * a1 + y * a2 + z * a3 + r * a4 + s * a5
         q = e * o0 + x * o1 + y * o2 + z * o3 + r * o4 + s * o5

@@ -8,6 +8,15 @@ margins and the extremal Types I-III.  s3 answers the rest from them:
 positivity, CP, CCP and each partial transpose reduce to scalar inequalities
 and the closed-form spectrum of a single 2x2 block via the C (+) C (+) M_2(C)
 block decomposition of the invariant algebra.
+
+KIND names each extremal type CP, CCP or neither, and an extremal map is
+decomposable iff it is CP or CCP.  Type I is CP and Type II CCP, so on an
+A-BC-PPT state their witness images are PSD; only Type III, neither, can
+see PPT entanglement.  The sweep therefore takes Types I and II as rows of
+the witness grid, and Type III as one exact row: s3.exact_minimum finds the
+least witness eigenvalue over its whole parameter sphere in closed form,
+and s3.exact_rows realizes that point, checked, as the witness
+III[A,B,C,sign].  An A-BC-PPT state's verdict does not depend on the grid.
 """
 
 import math
@@ -39,6 +48,8 @@ class S3Coeffs(s3.Coeffs):
             (A + B + 2 * C) / 2, (A - B - 2 * C) / 2, (-A + B - 2 * C) / 2,
             (A + B + 2 * C) / 2, -(A + B) / 2, rt),
     }
+    # extremal type -> "CP", "CCP" or "neither"; decomposable iff CP or CCP
+    KIND = {"I": "CP", "II": "CCP", "III": "neither"}
 
     @staticmethod
     def types(d):
@@ -120,7 +131,8 @@ def t_max(d=3):
 
 
 def witness_rows(d, grid):
-    """Rows (key, tuple6), one at a time: L0, then s3.catalogue."""
+    """The rows that do not depend on the state, one at a time: L0, then
+    s3.catalogue (Type I, and Type II over the grid)."""
     return chain((("L0", witness_L0(d).as_tuple6()),),
                  s3.catalogue(S3Coeffs, d, grid))
 
@@ -134,13 +146,19 @@ def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
                            tol=DEFAULT_TOL) -> Certificate:
     """Witness sweep over extremal covariant positive maps.
 
-    Any witness with (id (x) L*)(rho) acquiring a negative eigenvalue proves
-    entanglement across A-BC; a PPT failure proves entanglement too; otherwise
-    the verdict is inconclusive at the chosen grid resolution.  The
-    certificate names L0 and the first worse row, if there is one.
+    The rows are L0, Type I, Type II over the grid and the exact Type III
+    row.  Any witness with (id (x) L*)(rho) acquiring a negative eigenvalue
+    proves entanglement across A-BC; a PPT failure proves entanglement too;
+    otherwise no extremal map of Types I-III detects it and the verdict is
+    INCONCLUSIVE-AT-RESOLUTION.  The grid holds only decomposable rows, which
+    cannot fire on an A-BC-PPT state, so there the verdict is the same at
+    every grid; it moves with the grid only between ENTANGLED and
+    NPT-ENTANGLED.  The certificate names L0 and the first worse row, if
+    there is one.
     """
     cert, ppt = s3.open_certificate("werner3", c, tol)
-    first, worst, ok = s3.witness_sweep(cert, c, witness_rows(c.d, grid), tol)
+    rows = chain(witness_rows(c.d, grid), s3.exact_rows(c))
+    first, worst, ok = s3.witness_sweep(cert, c, rows, tol)
     cert.witnesses += [first] if worst is first else [first, worst]
     if not ok:
         cert.verdict = "ENTANGLED"

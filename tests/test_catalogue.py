@@ -1,0 +1,200 @@
+"""The witness catalogue checked once per (class, d, grid), and werner3's
+Type III row at its exact optimum over the whole parameter sphere."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from covwit import quo, s3, werner3
+from covwit.linalg import ContractError, NumericalError
+
+W3, QUO = werner3.S3Coeffs, quo.QuoCoeffs
+
+
+@pytest.fixture
+def fresh(monkeypatch):
+    """An empty record of refused grid points, restored afterwards."""
+    monkeypatch.setattr(s3, "_REFUSED", {})
+    return s3._REFUSED
+
+
+def digest(rows):
+    return hashlib.sha256(repr(list(rows)).encode()).hexdigest()
+
+
+def grid_key(cls, d, grid):
+    swept = tuple(t for t in cls.types(d)[1] if cls.KIND[t] != "neither")
+    return (cls, d, grid, swept)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 16, 64])
+@pytest.mark.parametrize("cls, d", [(W3, 3), (W3, 4), (QUO, 2), (QUO, 3)])
+def test_warm_rows_are_the_cold_rows_byte_for_byte(fresh, cls, d, grid):
+    cold = digest(s3.catalogue(cls, d, grid))
+    assert fresh == {grid_key(cls, d, grid): frozenset()}
+    assert digest(s3.catalogue(cls, d, grid)) == cold
+    assert len(fresh) == 1
+
+
+def refusing(monkeypatch, cls, d, key, exc=None):
+    """Patch cls.margins6 to refuse the grid row key (or raise exc there);
+    returns the list of tuples margins6 is called on."""
+    target = s3.normalized(cls, *key, d)
+    margins6, calls = cls.margins6, []
+
+    def patched(d, t):
+        calls.append(t)
+        if t == target:
+            if exc is not None:
+                raise exc
+            return (-1.0,) * 6
+        return margins6(d, t)
+
+    monkeypatch.setattr(cls, "margins6", staticmethod(patched))
+    return calls
+
+
+def test_a_refused_point_is_skipped_on_both_passes(fresh, monkeypatch):
+    """The first pass checks every row and records the one refusal; the
+    second checks no grid row (only the fixed type I) and skips it too."""
+    grid, key = 3, ("II", 0.5, 0.5, 0.0, 1)  # the one row of its tuple
+    assert key[1:] in list(s3.grid_points(grid))
+    calls = refusing(monkeypatch, W3, 3, key)
+    cold = list(s3.catalogue(W3, 3, grid))
+    assert key not in [k for k, _ in cold] and len(cold) == 18
+    assert fresh == {grid_key(W3, 3, grid): frozenset({key})}
+    calls.clear()
+    assert list(s3.catalogue(W3, 3, grid)) == cold
+    assert len(calls) == 1  # the fixed type I
+
+
+def test_a_stopped_pass_records_nothing(fresh, monkeypatch):
+    key = ("II", *list(s3.grid_points(2))[-1])
+    refusing(monkeypatch, W3, 3, key, OverflowError("boom"))
+    with pytest.raises(NumericalError):
+        list(s3.catalogue(W3, 3, 2))
+    rows = s3.catalogue(W3, 3, 2)
+    next(rows), next(rows)
+    rows.close()  # a consumer that stops early
+    assert fresh == {}
+
+
+def test_the_record_has_no_key_on_coefficients(fresh):
+    for t in np.linspace(0.1, 6.0, 50):
+        werner3.detect_entanglement_w3(werner3.rho_t_coeffs(3, t), grid=4)
+    assert list(fresh) == [grid_key(W3, 3, 4)]
+
+
+def test_an_exact_row_realize_refuses_is_a_numerical_error(monkeypatch):
+    realize = s3.realize
+
+    def refuse_iii(cls, t, A, B, *args):
+        if t == "III" and B != 0.0:  # L0 is Type III at B = 0
+            raise ContractError("refused")
+        return realize(cls, t, A, B, *args)
+
+    monkeypatch.setattr(s3, "realize", refuse_iii)
+    with pytest.raises(NumericalError):
+        werner3.detect_entanglement_w3(werner3.rho_t_coeffs(3, 1.0), grid=2)
+
+
+# ------------------------------------------------------------ exact optimum
+
+def sphere_rows(d, x):
+    """Normalized Type III tuple6 at the sphere points x (n x 3), as
+    arrays, from TUPLES directly."""
+    A, B, C, rt = 0.5 + x[:, 0], 0.5 - x[:, 0], x[:, 1], x[:, 2]
+    t = np.array([np.broadcast_to(np.asarray(v, float), A.shape)
+                  for v in W3.TUPLES["III"](A, B, C, rt, d)])
+    return t / (d * d * t[0] + d * (t[1] + t[2] + t[3]) + 2 * t[4])
+
+
+def grid_sphere(grid):
+    """The (A - 1/2, C, +-sqrt(AB - C^2)) points of s3.grid_points."""
+    return np.array([(A - 0.5, C, sign * math.sqrt(max(A * B - C * C, 0.0)))
+                     for A, B, C, sign in s3.grid_points(grid)])
+
+
+GRID256 = grid_sphere(256)
+
+
+def sweep_minima(c, t):
+    alpha, omega = (np.array(v) for v in s3.branches(c))
+    return np.minimum(alpha @ t, omega @ t)
+
+
+@settings(max_examples=40)
+@given(d=st.integers(3, 8),
+       v=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 6))
+def test_the_exact_minimum_is_least_and_attained(d, v):
+    """Below every grid-256 Type III row and every sampled sphere point
+    (random, and a ring at 1e-3 around the arg-min), and attained by the
+    realized arg-min row the sweep takes."""
+    c = W3.from_tuple6(d, v)
+    scale = math.sqrt(sum(k * t for k, t in zip(s3.gram6(c),
+                                                  c.as_tuple6())))
+    assume(scale > 1e-150)
+    lam, point = s3.exact_minimum(c, "III")
+    key, row = next(s3.exact_rows(c))
+    assert key == ("III", *point)
+    (_, m), = s3.witness_minima(c, [(key, row)])
+    assert abs(m - lam) <= 1e-12 * scale
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((4096, 3))
+    A, _, C, sign = point
+    star = np.array([A - 0.5, C, sign * math.sqrt(max(0.25 - (A - 0.5)**2
+                                                      - C * C, 0.0))])
+    ring = star + 1e-3 * rng.standard_normal((64, 3))
+    x = np.vstack([x, ring])
+    x /= 2 * np.linalg.norm(x, axis=1)[:, None]
+    for pts in (GRID256, x):
+        assert sweep_minima(c, sphere_rows(d, pts)).min() >= (
+            lam - 1e-12 * scale)
+
+
+def test_grid_256_misses_the_optimum_near_a_pole():
+    """rho_t(3, 1): the optimum sits at A = 0.995, where C spans
+    +-sqrt(AB) and the (A - B, C) grid is coarse, so grid 256 stays 1.5e-6
+    above it; the exact row is ~1e-3 relatively lower."""
+    c = werner3.rho_t_coeffs(3, 1.0)
+    lam, (A, *_) = s3.exact_minimum(c, "III")
+    gap = sweep_minima(c, sphere_rows(3, GRID256)).min() - lam
+    assert A > 0.99 and 1e-6 < gap < 2e-6
+
+
+def test_the_type_iii_normalizer_is_at_least_d_minus_1():
+    """D(x) = d^2 (1 + 2C)/2 + d (1 - 2C)/2 - 1 on the sphere: least,
+    d - 1, at C = -1/2."""
+    x = np.random.default_rng(0).standard_normal((1000, 3))
+    x /= 2 * np.linalg.norm(x, axis=1)[:, None]
+    for d in range(3, 9):
+        A, B, C, rt = 0.5 + x[:, 0], 0.5 - x[:, 0], x[:, 1], x[:, 2]
+        ae, a12, a13, a23, r, _ = W3.TUPLES["III"](A, B, C, rt, d)
+        norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
+        assert norm.min() >= d - 1
+        ae, a12, a13, a23, r, _ = W3.TUPLES["III"](0.5, 0.5, -0.5, 0.0, d)
+        assert d * d * ae + d * (a12 + a13 + a23) + 2 * r == d - 1
+
+
+# an A-BC-PPT werner3 state that L0 and every grid-2 row miss
+PPT_ENTANGLED = ("166523776510/5029999975503,1936168780/186296295389,"
+                 "-15874292672/1676666658501,2521386712/558888886167,"
+                 "3552377465/372592590778,0")
+
+
+def test_the_verdict_no_longer_depends_on_the_grid():
+    from fractions import Fraction
+
+    c = W3.from_tuple6(3, [Fraction(v) for v in PPT_ENTANGLED.split(",")])
+    assert all(s3.ppt(c).values()) is False and s3.ppt(c)["A-BC"]
+    assert min(m for _, m in s3.witness_minima(
+        c, werner3.witness_rows(3, 2))) > 0
+    key, row = next(s3.exact_rows(c))
+    (_, m), = s3.witness_minima(c, [(key, row)])
+    for grid in (2, 16, 64):
+        cert = werner3.detect_entanglement_w3(c, grid=grid)
+        assert cert.verdict == "ENTANGLED"
+        assert cert.witnesses[1] == {"id": s3.witness_id(key), "min_eig": m}

@@ -52,15 +52,35 @@ def test_certificate_bytes_are_deterministic(tmp_path):
 
 
 def test_library_and_cli_share_the_witness_grid_default(capsys):
-    """0.963 rho_t(3, 1) + 0.037 I/27: L0 does not fire, and a grid-64
-    witness does while no grid-16 one does, so the two defaults must be
-    one for the library and `certify` to agree."""
+    """0.963 rho_t(3, 1) + 0.037 I/27: L0 does not fire and no grid-16
+    row does; the exact Type III row does, at every grid, and the library
+    and `certify` agree."""
     text = ("0.028689519306540585,0,0.02048936170212766,0,"
             "0.006829787234042553,0")
     c = werner3.S3Coeffs.from_tuple6(3, parse_coeffs(text))
     verdict = werner3.detect_entanglement_w3(c).verdict
     assert run(["certify", "werner3", "--d", "3", "--coeffs", text]) == 0
     assert capsys.readouterr().out.endswith(f"verdict: {verdict}\n")
+    assert verdict == "ENTANGLED"
+
+
+def test_certify_werner3_ppt_entangled_state_at_every_grid(tmp_path):
+    """An A-BC-PPT state that L0 and every grid-2 row miss is ENTANGLED by
+    the same exact Type III witness at grid 2, 16 and 64."""
+    coeffs = ("166523776510/5029999975503,1936168780/186296295389,"
+              "-15874292672/1676666658501,2521386712/558888886167,"
+              "3552377465/372592590778,0")
+    certs = []
+    for grid in ("2", "16", "64"):
+        out = tmp_path / f"g{grid}.json"
+        assert run(["certify", "werner3", "--d", "3", "--coeffs", coeffs,
+                    "--grid", grid, "--json", str(out)]) == 0
+        certs.append(json.loads(out.read_text()))
+    assert all(c["verdict"] == "ENTANGLED" for c in certs)
+    assert certs[0]["checks"]["ppt_A-BC"]["verdict"] == "true"
+    assert certs[0]["witnesses"][1]["id"].startswith("III[")
+    assert certs[0]["witnesses"] == certs[1]["witnesses"] == certs[2][
+        "witnesses"]
 
 
 def test_certify_werner3_rho_t(capsys):

@@ -116,7 +116,8 @@ def test_mc_twirl_rejects_bad_family_and_shape():
 def test_selftest_quick_passes():
     ok, results = selftest(seed=0, level="quick", out=None)
     assert ok
-    assert len(results) == 10
+    assert len(results) == 11
+    assert "werner3-exact-type-iii" in [name for name, *_ in results]
     for name, passed, detail, dt in results:
         assert passed, (name, detail)
 

@@ -102,7 +102,9 @@ def test_witness_sweep_reports_the_first_of_tied_rows():
 def test_werner3_witnesses_are_L0_and_the_first_worst_row():
     """The certificate names L0 alone when L0 is least (rho_t), else L0
     and the first row of least minimum (the maximally mixed state, whose
-    minimum twelve grid-4 rows share), as a list of the rows finds it."""
+    minimum twelve grid-4 rows share), as a list of the rows finds it.  The
+    sweep takes one row more than the list: the exact Type III row, which
+    depends on the state and follows the catalogue."""
     cert = werner3.detect_entanglement_w3(werner3.rho_t_coeffs(3, 1.0),
                                           grid=4)
     assert [w["id"] for w in cert.witnesses] == ["L0"]
@@ -114,7 +116,8 @@ def test_werner3_witnesses_are_L0_and_the_first_worst_row():
     cert = werner3.detect_entanglement_w3(c, grid=4)
     assert cert.witnesses == [{"id": "L0", "min_eig": mins[0]},
                               {"id": rows[i][0], "min_eig": mins[i]}]
-    assert cert.checks["witness_sweep"]["evidence"]["count"] == len(rows)
+    assert cert.checks["witness_sweep"]["evidence"]["count"] == len(rows) + 1
+    assert not any(k.startswith("III") for k, _ in rows)
 
 
 def test_catalogue_streams_its_rows():
@@ -128,9 +131,11 @@ def test_catalogue_streams_its_rows():
     assert isinstance(werner3._witness_coeff_grid(3, 2), list)
 
 
-# family -> (its public extremal function, its fixed and swept types at d)
+# family -> (its public extremal function, its fixed types and the swept
+# types on the grid at d); werner3's Type III, neither CP nor CCP, gets its
+# exact row instead of grid rows
 EXTREMALS = {
-    "werner3": (werner3.extremal_w3, lambda d: (("I",), ("II", "III"))),
+    "werner3": (werner3.extremal_w3, lambda d: (("I",), ("II",))),
     "quo": (quo.extremal_quo,
             lambda d: ((("I", "II"), ("III", "IV")) if d >= 3
                        else ((), ("I'", "II'")))),
