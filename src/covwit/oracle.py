@@ -229,7 +229,7 @@ def selftest(seed=0, level="quick", out=print):
         grid = 12 if big else 6
         bad = 0
         for d in (2, 3):
-            for _, t in s3.catalogue(quo.QuoCoeffs, d, grid):
+            for _, t in s3.rows(s3.catalogue(quo.QuoCoeffs, d, grid)):
                 r = quo.QuoCoeffs.from_tuple6(d, t)
                 if not (s3.is_cp(r) or s3.is_ccp(r)):
                     bad += 1

@@ -100,8 +100,10 @@ def extremal_quo(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> QuoCoeffs:
 
 
 def _witness_rows(d, grid):
-    """s3.catalogue of the T basis as a list of (id, tuple6)."""
-    return [(s3.witness_id(k), t) for k, t in s3.catalogue(QuoCoeffs, d, grid)]
+    """s3.catalogue of the T basis as a list of (id, tuple6), one per
+    row."""
+    return [(s3.witness_id(k), t)
+            for k, t in s3.rows(s3.catalogue(QuoCoeffs, d, grid))]
 
 
 def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:

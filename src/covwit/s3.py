@@ -7,13 +7,17 @@ V_sigma^{T_B}.  A family is data on its coefficient class: its basis
 types, and KIND: CP, CCP or neither).  This module answers the rest once
 for both: every PSD question through the two block forms of the V_sigma
 algebra that block(c, cut) picks, the extremal maps, the witness catalogue
-(the decomposable types over a grid, each point checked once per (class,
-d, grid)), the exact row of each type that is neither, and the one-pass
-sweep.
+(the decomposable types over one table of grid points per grid, each
+point's rows as conjugate pairs, checked once per (class, d, grid)), the
+exact row of each type that is neither, and the one-pass sweep, which
+shares five of a pair's six products between its two rows.  A swept
+witness's id prints A, B and C in full (repr), so it names the row
+realize makes.
 """
 
 import cmath
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from itertools import chain
 
@@ -237,13 +241,11 @@ def positive6(cls, d, t, tol=DEFAULT_TOL):
     return quad >= -band(scale, tol, 2)
 
 
-def normalized(cls, type_name, A, B, C, sign, d):
-    """The tuple6 of cls's type_name at (A, B, C, sign), normalized to trace
-    preservation, unchecked: realize's arithmetic, and the later passes of
-    the catalogue over grid points the first pass checked."""
-    root = math.sqrt(max(A * B - C * C, 0.0))
-    ae, a12, a13, a23, r, s = cls.TUPLES[type_name](
-        A, B, C, root if sign >= 0 else -root, d)
+def normalized(cls, type_name, A, B, C, rt, d):
+    """The tuple6 of cls's type_name at (A, B, C) and the root rt = +-sqrt(AB
+    - C^2), normalized to trace preservation, unchecked: realize's
+    arithmetic, and the catalogue's once per conjugate pair."""
+    ae, a12, a13, a23, r, s = cls.TUPLES[type_name](A, B, C, rt, d)
     norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
     if norm <= TP_TOL:
         raise ContractError(
@@ -254,10 +256,11 @@ def normalized(cls, type_name, A, B, C, sign, d):
 
 
 def realize(cls, type_name, A, B, C, sign, d):
-    """normalized(...), and a ContractError unless it passes cls's margins6.
-    The inputs are taken as checked: this is the per-row path of the
-    catalogue, and extremal checks them."""
-    t = normalized(cls, type_name, A, B, C, sign, d)
+    """normalized(...) at the root of that sign, and a ContractError unless
+    it passes cls's margins6.  The inputs are taken as checked: extremal
+    and exact_rows check them."""
+    root = math.sqrt(max(A * B - C * C, 0.0))
+    t = normalized(cls, type_name, A, B, C, root if sign >= 0 else -root, d)
     if not positive6(cls, d, t):
         raise ContractError(
             f"Type {type_name} tuple failed the positivity inequalities")
@@ -326,52 +329,99 @@ def linspace(lo, hi, n):
     return [i * step + lo for i in range(n - 1)] + [hi]
 
 
-def grid_points(grid):
-    """(A, B, C, sign) over a compact (A-B, C, sign) grid at A+B=1."""
+_GRIDS = {}  # grid -> grid_table(grid)
+
+
+def grid_table(grid):
+    """The points of the compact (A-B, C) grid at A + B = 1, as one
+    array('d') of (A, B, C, sqrt(AB - C^2)) per point, built once per grid
+    from linspace values (2 MB at MAX_GRID)."""
     grid = integer(grid, "witness grid", 2, ContractError)
     if grid > MAX_GRID:
         raise ContractError(f"witness grid must be <= {MAX_GRID}, got {grid}")
-    for u in linspace(-1.0, 1.0, grid):
-        A, B = (1 + u) / 2, (1 - u) / 2
-        cmax = math.sqrt(A * B)
-        for C in linspace(-cmax, cmax, grid):
-            yield A, B, C, +1
-            yield A, B, C, -1
+    table = _GRIDS.get(grid)
+    if table is None:
+        table = array("d", [0.0]) * (4 * grid * grid)
+        k = 0
+        for u in linspace(-1.0, 1.0, grid):
+            A, B = (1 + u) / 2, (1 - u) / 2
+            cmax = math.sqrt(A * B)
+            for C in linspace(-cmax, cmax, grid):
+                table[k], table[k + 1], table[k + 2] = A, B, C
+                table[k + 3] = math.sqrt(max(A * B - C * C, 0.0))
+                k += 4
+        _GRIDS[grid] = table
+    return table
 
 
-_REFUSED = {}  # (cls, d, grid, swept types) -> grid points realize refused
+def grid_points(grid):
+    """(A, B, C, sign) over grid_table(grid), one per row of a swept type:
+    at each point the +1 sign, then -1."""
+    table = iter(grid_table(grid))
+    for A, B, C, _ in zip(table, table, table, table):
+        yield A, B, C, +1
+        yield A, B, C, -1
+
+
+_REFUSED = {}  # (cls, d, grid, swept types) -> (type, A, B, C) pairs refused
 
 
 def catalogue(cls, d, grid):
-    """Witness rows (key, tuple6) of cls, one at a time: fixed types by name,
-    then the decomposable swept types (KIND "CP" or "CCP") by (type, A, B,
-    C, sign) where realize accepts them; a type that is neither gets
-    exact_rows instead.  The rows depend on (cls, d, grid) alone, so each
-    point is checked once: the first pass to run to its end records the
-    points realize refused, and later passes make the same rows by
-    normalized, skipping those points."""
+    """Witness items of cls, one at a time: each fixed type's row (name,
+    tuple6), then one item (A, B, C, pairs) per point of grid_table(grid),
+    pairs = [(type, tuple6), ...] over the decomposable swept types (KIND
+    "CP" or "CCP") that realize accepts there; a type that is neither gets
+    exact_rows instead.  A pair stands for two rows: tuple6 is the +1 row,
+    and the -1 row, its complex conjugate, is tuple6 with im a_123 negated,
+    since TUPLES put the root in that slot only and the normalizer never
+    reads it.  margins6 and scale6 read im a_123 only through |.|, so
+    realize accepts both rows of a pair or neither, and a pair takes one
+    normalized call and one check.  The items depend on (cls, d, grid)
+    alone, so each pair is checked once: the first pass to run to its end
+    records the (type, A, B, C) refused, and later passes skip those."""
     d = integer(d, "d", cls.MIN_D)
     fixed, swept = cls.types(d)
     swept = tuple(t for t in swept if cls.KIND[t] != "neither")
     for t in fixed:
         yield t, realize(cls, t, 0.0, 0.0, 0.0, +1, d)
+    table = iter(grid_table(grid))
     record = (cls, d, grid, swept)
     refused = _REFUSED.get(record)
-    if refused is None:
+    check = refused is None
+    if check:
         refused = set()
-        for A, B, C, sign in grid_points(grid):
-            for t in swept:
-                try:
-                    yield (t, A, B, C, sign), realize(cls, t, A, B, C, sign, d)
-                except ContractError:
-                    refused.add((t, A, B, C, sign))
-        _REFUSED[record] = frozenset(refused)
-        return
-    for A, B, C, sign in grid_points(grid):
+    for A, B, C, root in zip(table, table, table, table):
+        pairs = []
         for t in swept:
-            key = (t, A, B, C, sign)
-            if not (refused and key in refused):
-                yield key, normalized(cls, t, A, B, C, sign, d)
+            if refused and (t, A, B, C) in refused:
+                continue
+            try:
+                row = normalized(cls, t, A, B, C, root, d)
+            except ContractError:
+                row = None
+            if row is None or check and not positive6(cls, d, row):
+                refused.add((t, A, B, C))
+                continue
+            pairs.append((t, row))
+        if pairs:
+            yield A, B, C, pairs
+    if check:
+        _REFUSED[record] = frozenset(refused)
+
+
+def rows(items):
+    """The (key, tuple6) rows of catalogue items in sweep order: a row as
+    it is, a grid point's +1 rows, keyed (type, A, B, C, +1), then its -1
+    rows."""
+    for item in items:
+        if len(item) == 2:
+            yield item
+            continue
+        A, B, C, pairs = item
+        for t, row in pairs:
+            yield (t, A, B, C, +1), row
+        for t, (ae, a12, a13, a23, r, s) in pairs:
+            yield (t, A, B, C, -1), (ae, a12, a13, a23, r, -s)
 
 
 def exact_minimum(c: Coeffs, type_name):
@@ -433,9 +483,11 @@ def exact_rows(c: Coeffs):
 
 
 def witness_id(key):
-    """The id of a row key: a name, or type[A,B,C,sign] for a swept one."""
+    """The id of a row key: a name, or type[A,B,C,sign] for a swept one,
+    A, B and C by repr, so that the id parses back to the row realize
+    makes."""
     return (key if isinstance(key, str)
-            else "{}[{:.4f},{:.4f},{:.4f},{:+d}]".format(*key))
+            else "{}[{!r},{!r},{!r},{:+d}]".format(*key))
 
 
 def gram6(c: Coeffs):
@@ -459,27 +511,46 @@ def branches(c: Coeffs):
     return [(t - o) / (d * d - 1) for t, o in zip(traces, omega)], omega
 
 
-def witness_minima(c: Coeffs, rows):
-    """(key, least eigenvalue of (id (x) W*)(rho)) for each row (key, W) in
-    turn.  Each image (id (x) X_sigma*)(rho) lies in span{I, d Omega}: its
-    eigenvalue on Omega is g_sigma / d, g_sigma = Tr(rho X_sigma), and its
-    trace, d g_e, g_e, g_e, d g_23, g_23, g_23, fixes its eigenvalue on the
-    other d^2 - 1 directions; g_132 = conj(g_123) leaves six real terms."""
+def witness_minima(c: Coeffs, items):
+    """(key, least eigenvalue of (id (x) W*)(rho)) for each row (key, W) of
+    the items (catalogue's: rows, and grid points of conjugate pairs) in
+    the order of rows(items).  Each image (id (x) X_sigma*)(rho) lies in
+    span{I, d Omega}: its eigenvalue on Omega is g_sigma / d, g_sigma =
+    Tr(rho X_sigma), and its trace, d g_e, g_e, g_e, d g_23, g_23, g_23,
+    fixes its eigenvalue on the other d^2 - 1 directions; g_132 =
+    conj(g_123) leaves six real terms.  A pair shares the first five, S,
+    and its rows take S + s a_5 and S - s a_5: the same bits as the six-term
+    sum of each row, as (-s) a = -(s a) and x - y = x + (-y) exactly."""
     (a0, a1, a2, a3, a4, a5), (o0, o1, o2, o3, o4, o5) = branches(c)
-    for key, (e, x, y, z, r, s) in rows:
-        p = e * a0 + x * a1 + y * a2 + z * a3 + r * a4 + s * a5
-        q = e * o0 + x * o1 + y * o2 + z * o3 + r * o4 + s * o5
-        yield key, (p if p < q else q)
+    for item in items:
+        if len(item) == 2:
+            key, (e, x, y, z, r, s) = item
+            p = e * a0 + x * a1 + y * a2 + z * a3 + r * a4 + s * a5
+            q = e * o0 + x * o1 + y * o2 + z * o3 + r * o4 + s * o5
+            yield key, (p if p < q else q)
+            continue
+        A, B, C, pairs = item
+        conj = []
+        for t, (e, x, y, z, r, s) in pairs:
+            p = e * a0 + x * a1 + y * a2 + z * a3 + r * a4
+            q = e * o0 + x * o1 + y * o2 + z * o3 + r * o4
+            sp, sq = s * a5, s * o5
+            hi, ho = p + sp, q + sq
+            yield (t, A, B, C, +1), (hi if hi < ho else ho)
+            p, q = p - sp, q - sq
+            conj.append(((t, A, B, C, -1), p if p < q else q))
+        yield from conj
 
 
-def witness_sweep(cert, c: Coeffs, rows, tol=DEFAULT_TOL):
-    """One pass of witness_minima over one or more rows; a NaN minimum is a
-    NumericalError.  Records the witness_sweep check at ||rho||_F and returns
-    the first row, the first of least minimum (as witnesses) and the pass."""
-    pairs = witness_minima(c, rows)
-    first = worst = next(pairs)
+def witness_sweep(cert, c: Coeffs, items, tol=DEFAULT_TOL):
+    """One pass of witness_minima over the items, one or more rows; a NaN
+    minimum is a NumericalError.  Records the witness_sweep check at
+    ||rho||_F and returns the first row, the first of least minimum (as
+    witnesses) and the pass."""
+    minima = witness_minima(c, items)
+    first = worst = next(minima)
     lo = math.inf
-    for n, pair in enumerate(chain((first,), pairs), 1):
+    for n, pair in enumerate(chain((first,), minima), 1):
         if not pair[1] >= lo:  # a new least, or NaN
             if pair[1] != pair[1]:
                 raise NumericalError("a witness minimum is NaN: overflow")

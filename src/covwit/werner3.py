@@ -131,15 +131,16 @@ def t_max(d=3):
 
 
 def witness_rows(d, grid):
-    """The rows that do not depend on the state, one at a time: L0, then
-    s3.catalogue (Type I, and Type II over the grid)."""
+    """The witness items that do not depend on the state, one at a time: L0,
+    then s3.catalogue (Type I, and Type II over the grid in conjugate
+    pairs)."""
     return chain((("L0", witness_L0(d).as_tuple6()),),
                  s3.catalogue(S3Coeffs, d, grid))
 
 
 def _witness_coeff_grid(d, grid):
-    """witness_rows as a list of (id, tuple6)."""
-    return [(s3.witness_id(k), t) for k, t in witness_rows(d, grid)]
+    """witness_rows as a list of (id, tuple6), one per row."""
+    return [(s3.witness_id(k), t) for k, t in s3.rows(witness_rows(d, grid))]
 
 
 def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,

@@ -3,6 +3,8 @@ Type III row at its exact optimum over the whole parameter sphere."""
 
 import hashlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ def test_warm_rows_are_the_cold_rows_byte_for_byte(fresh, cls, d, grid):
 def refusing(monkeypatch, cls, d, key, exc=None):
     """Patch cls.margins6 to refuse the grid row key (or raise exc there);
     returns the list of tuples margins6 is called on."""
-    target = s3.normalized(cls, *key, d)
+    target = s3.realize(cls, *key, d)
     margins6, calls = cls.margins6, []
 
     def patched(d, t):
@@ -58,21 +60,23 @@ def refusing(monkeypatch, cls, d, key, exc=None):
 
 
 def test_a_refused_point_is_skipped_on_both_passes(fresh, monkeypatch):
-    """The first pass checks every row and records the one refusal; the
-    second checks no grid row (only the fixed type I) and skips it too."""
+    """The first pass checks every pair, by its +1 row, and records the one
+    refusal, which drops both rows of the pair; the second checks no grid
+    row (only the fixed type I) and skips the pair too."""
     grid, key = 3, ("II", 0.5, 0.5, 0.0, 1)  # the one row of its tuple
     assert key[1:] in list(s3.grid_points(grid))
     calls = refusing(monkeypatch, W3, 3, key)
-    cold = list(s3.catalogue(W3, 3, grid))
-    assert key not in [k for k, _ in cold] and len(cold) == 18
-    assert fresh == {grid_key(W3, 3, grid): frozenset({key})}
+    cold = list(s3.rows(s3.catalogue(W3, 3, grid)))
+    assert key[:4] not in [k[:4] for k, _ in cold] and len(cold) == 17
+    assert fresh == {grid_key(W3, 3, grid): frozenset({key[:4]})}
     calls.clear()
-    assert list(s3.catalogue(W3, 3, grid)) == cold
+    assert list(s3.rows(s3.catalogue(W3, 3, grid))) == cold
     assert len(calls) == 1  # the fixed type I
 
 
 def test_a_stopped_pass_records_nothing(fresh, monkeypatch):
-    key = ("II", *list(s3.grid_points(2))[-1])
+    key = ("II", *list(s3.grid_points(2))[-2])  # the last pair's +1 row
+    assert key[-1] == 1
     refusing(monkeypatch, W3, 3, key, OverflowError("boom"))
     with pytest.raises(NumericalError):
         list(s3.catalogue(W3, 3, 2))
@@ -80,6 +84,32 @@ def test_a_stopped_pass_records_nothing(fresh, monkeypatch):
     next(rows), next(rows)
     rows.close()  # a consumer that stops early
     assert fresh == {}
+
+
+@pytest.mark.parametrize("grid", [2, 3, 16, 64])
+def test_the_grid_table_holds_the_linspace_points(grid):
+    """One (A, B, C, sqrt(AB - C^2)) per point, made once per grid."""
+    want = []
+    for u in s3.linspace(-1.0, 1.0, grid):
+        A, B = (1 + u) / 2, (1 - u) / 2
+        cmax = math.sqrt(A * B)
+        want += [(A, B, C, math.sqrt(max(A * B - C * C, 0.0)))
+                 for C in s3.linspace(-cmax, cmax, grid)]
+    table = s3.grid_table(grid)
+    assert repr(table.tolist()) == repr([x for p in want for x in p])
+    assert s3.grid_table(grid) is table
+
+
+def test_the_grid_256_table_takes_under_3_mb(monkeypatch):
+    monkeypatch.setattr(s3, "_GRIDS", {})
+    tracemalloc.start()
+    try:
+        table = s3.grid_table(s3.MAX_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) * table.itemsize == 32 * s3.MAX_GRID**2  # 2 MB
+    assert peak < 3 * 2**20
 
 
 def test_the_record_has_no_key_on_coefficients(fresh):
@@ -198,3 +228,51 @@ def test_the_verdict_no_longer_depends_on_the_grid():
         cert = werner3.detect_entanglement_w3(c, grid=grid)
         assert cert.verdict == "ENTANGLED"
         assert cert.witnesses[1] == {"id": s3.witness_id(key), "min_eig": m}
+
+
+# ------------------------------------------------------------ witness ids
+
+ID = re.compile(r"(.+)\[(.+),(.+),(.+),([+-]1)\]")
+
+
+def realize_id(cls, d, text):
+    """The row a swept witness id names, made by realize from the id."""
+    t, A, B, C, sign = ID.fullmatch(text).groups()
+    return s3.realize(cls, t, float(A), float(B), float(C), int(sign), d)
+
+
+@settings(max_examples=200)
+@given(d=st.integers(3, 8),
+       v=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 6),
+       real=st.booleans())
+def test_an_exact_row_id_names_its_row(d, v, real):
+    """With a_123 real the arg-min lies on AB = C^2, where a rounded id
+    would fall outside the parameter set."""
+    c = W3.from_tuple6(d, v[:5] + ((0.0,) if real else v[5:]))
+    scale = math.sqrt(sum(k * t for k, t in zip(s3.gram6(c),
+                                                  c.as_tuple6())))
+    assume(scale > 1e-150)
+    key, row = next(s3.exact_rows(c))
+    assert repr(realize_id(W3, d, s3.witness_id(key))) == repr(row)
+
+
+def test_the_ppt_entangled_state_names_its_exact_row():
+    from fractions import Fraction
+
+    c = W3.from_tuple6(3, [Fraction(v) for v in PPT_ENTANGLED.split(",")])
+    cert = werner3.detect_entanglement_w3(c, grid=2)
+    key, row = next(s3.exact_rows(c))
+    assert cert.witnesses[1]["id"] == s3.witness_id(key)
+    assert repr(realize_id(W3, 3, cert.witnesses[1]["id"])) == repr(row)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 16, 64])
+@pytest.mark.parametrize("listing, d", [
+    (werner3._witness_coeff_grid, 3), (werner3._witness_coeff_grid, 4),
+    (quo._witness_rows, 2), (quo._witness_rows, 3)])
+def test_every_grid_id_names_its_row(listing, d, grid):
+    cls = W3 if listing is werner3._witness_coeff_grid else QUO
+    swept = [(i, t) for i, t in listing(d, grid) if "[" in i]
+    assert len(swept) >= 8
+    for i, t in swept:
+        assert repr(realize_id(cls, d, i)) == repr(t), i

@@ -1,12 +1,21 @@
 """Every module under src/covwit, tests and demos uses each name it
-imports, the closed-form modules import no numpy, and the CLI leaves the
-oracles to selftest."""
+imports, the closed-form modules import no numpy, the CLI leaves the
+oracles to selftest, and no module-level dict grows with the states a
+decision sees."""
 
 import ast
+import importlib
+import math
 import os
+import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from covwit import quo, s3, werner3
 
 ROOT = Path(__file__).resolve().parent.parent
 DIRS = ("src/covwit", "tests", "demos")
@@ -65,3 +74,57 @@ def test_cli_imports_oracle_only_for_selftest():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def module_dicts():
+    """Every module-level dict of every covwit module, by name."""
+    import covwit
+
+    out = {}
+    for info in pkgutil.iter_modules(covwit.__path__):
+        mod = importlib.import_module(f"covwit.{info.name}")
+        out.update((f"{info.name}.{name}", v) for name, v in vars(mod).items()
+                   if isinstance(v, dict) and not name.startswith("__"))
+    return out
+
+
+def states(cls, d, n):
+    """n distinct invariant states: a_e dominating small random others,
+    normalized to trace 1."""
+    rng = random.Random(d)
+    for _ in range(n):
+        v = [rng.uniform(-1.0, 1.0) for _ in range(5)]
+        f = 0.5 / (d * (sum(map(abs, v[:3])) + 2 * math.hypot(*v[3:])))
+        c = cls(d, 1.0, *(f * x for x in v[:3]), f * complex(*v[3:]))
+        yield c.scale_by(1.0 / c.trace())
+
+
+def flat(key):
+    if isinstance(key, (tuple, frozenset)):
+        for k in key:
+            yield from flat(k)
+    else:
+        yield key
+
+
+@pytest.mark.parametrize("family", ["werner3", "quo"])
+def test_no_module_dict_grows_with_the_states_swept(family):
+    """200 distinct states at one (d, grid) leave every module-level dict
+    of covwit as long as one state does, and no key holds a coefficient."""
+    cls, decide = ((werner3.S3Coeffs, werner3.detect_entanglement_w3)
+                   if family == "werner3" else
+                   (quo.QuoCoeffs, quo.decide_quo))
+    seen = list(states(cls, 3, 200))
+    assert len({c.as_tuple6() for c in seen}) == 200
+    decide(seen[0], grid=8)
+    dicts = module_dicts()
+    after_one = {name: len(v) for name, v in dicts.items()}
+    for c in seen[1:]:
+        decide(c, grid=8)
+    assert {name: len(v) for name, v in dicts.items()} == after_one
+    coeffs = {x for c in seen for x in c.as_tuple6() + (c.a_123,) if x}
+    held = [(name, k) for name, v in dicts.items() for k in v
+            if any(isinstance(x, s3.Coeffs)
+                   or isinstance(x, (float, complex)) and x in coeffs
+                   for x in flat(k))]
+    assert not held, held

@@ -121,12 +121,16 @@ def test_werner3_witnesses_are_L0_and_the_first_worst_row():
 
 
 def test_catalogue_streams_its_rows():
-    """s3.catalogue yields rows one at a time; the listed forms perfbench
-    reads are lists of (id, tuple6) from the same stream."""
-    rows = s3.catalogue(quo.QuoCoeffs, 2, 4)
-    key, t = next(rows)
-    assert key == ("I'", 0.0, 1.0, 0.0, 1) and len(t) == 6
-    assert s3.witness_id(key) == "I'[0.0000,1.0000,0.0000,+1]"
+    """s3.catalogue yields items one at a time, a grid point's conjugate
+    pairs as one item; the listed forms perfbench reads are lists of (id,
+    tuple6), one per row of the same stream."""
+    items = s3.catalogue(quo.QuoCoeffs, 2, 4)
+    A, B, C, pairs = next(items)
+    assert (A, B, C) == (0.0, 1.0, 0.0)
+    assert [t for t, _ in pairs] == ["I'", "II'"]
+    key, t = next(s3.rows([(A, B, C, pairs)]))
+    assert key == ("I'", 0.0, 1.0, 0.0, 1) and t == pairs[0][1]
+    assert s3.witness_id(key) == "I'[0.0,1.0,0.0,+1]"
     assert quo._witness_rows(2, 4)[0] == (s3.witness_id(key), t)
     assert isinstance(werner3._witness_coeff_grid(3, 2), list)
 
@@ -158,7 +162,7 @@ def test_catalogue_rows_are_the_public_extremals(case, grid):
     for A, B, C, sign in s3.grid_points(grid):
         for t in swept:
             try:
-                want.append((f"{t}[{A:.4f},{B:.4f},{C:.4f},{sign:+d}]",
+                want.append((f"{t}[{A!r},{B!r},{C!r},{sign:+d}]",
                              extremal_fn(t, A, B, C, sign, d).as_tuple6()))
             except ContractError:
                 pass
