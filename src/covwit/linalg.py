@@ -4,8 +4,9 @@ checks, the size cap on dense builds, and the boundary rule.
 The boundary rule decides every signed margin, closed form or dense: a
 margin of degree k at scale s (the largest |coefficient| in the family's
 independent coordinates, or ||x||_F for a dense x) has the band psd_tol
-times max(1, s)^k, and reads "false" below -band, "boundary" within it and
-"true" above it.  "boundary" counts as passing.
+times s^k, no floor, and reads "false" below -band, "boundary" within it
+and "true" above it.  "boundary" counts as passing.  A margin homogeneous
+of degree k so gets the same verdict for c and 2^j c, exactly.
 """
 
 import cmath
@@ -150,19 +151,19 @@ def max_abs(x):
 
 
 def check_hermitian(x, tol=DEFAULT_TOL):
-    """Raise ContractError unless x is Hermitian within eq_tol, return (x+x*)/2."""
+    """Raise ContractError unless |x - x*| <= eq_tol |x|, return (x+x*)/2."""
     x = asmatrix(x)
     if x.shape[0] != x.shape[1]:
         raise DimensionError("Hermitian check requires a square matrix")
     dev = max_abs(x - x.conj().T)
-    if dev > tol.eq_tol * (1.0 + max_abs(x)):
+    if dev > tol.eq_tol * max_abs(x):
         raise ContractError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return (x + x.conj().T) / 2.0
 
 
 def band(scale, tol=DEFAULT_TOL, degree=1):
-    """Half-width of the boundary band at this scale and degree."""
-    return tol.psd_tol * max(1.0, scale) ** degree
+    """Half-width of the boundary band: psd_tol * scale^degree."""
+    return tol.psd_tol * scale ** degree
 
 
 def classify(margin, scale, tol=DEFAULT_TOL, degree=1):

@@ -60,19 +60,18 @@ def brute_positive_orbit(m: LinMap, tol=DEFAULT_TOL):
     return is_psd(m(e11), tol)
 
 
-def brute_positive_sample(m: LinMap, n=1000, seed=0, extra_vectors=(),
-                          tol=DEFAULT_TOL):
+def brute_positive_sample(m: LinMap, n=1000, seed=0, tol=DEFAULT_TOL):
     """One-sided sampling oracle: min output eigenvalue over Haar-random pure
-    states plus any deterministic vectors.  False is conclusive."""
+    states, at the scale ||output||_F as in is_psd.  False is conclusive."""
     rng = rng_from(seed)
-    worst = np.inf
-    for v in list(extra_vectors) + [random_pure_state(rng, m.d_in)
-                                    for _ in range(n)]:
-        v = np.asarray(v, dtype=complex)
+    worst, scale = np.inf, 0.0
+    for _ in range(n):
+        v = random_pure_state(rng, m.d_in)
         out = m(np.outer(v, v.conj()))
         lo = float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
-        worst = min(worst, lo)
-    return classify(worst, abs(worst), tol) != "false", worst
+        if lo < worst:
+            worst, scale = lo, float(np.linalg.norm(out))
+    return classify(worst, scale, tol) != "false", worst
 
 
 def _batched_conjugation_average(x, gens):

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 
 from .certificate import Certificate
-from .linalg import (DEFAULT_TOL, ContractError, NumericalError, band,
-                     check_dense, classify, finite_number, integer, least)
+from .linalg import (DEFAULT_TOL, ContractError, NumericalError, check_dense,
+                     classify, finite_number, integer, least)
 
 TP_TOL = 1e-12
 GRID = 16  # default witness grid of both decision functions and --grid
@@ -224,21 +224,14 @@ def ppt(c: Coeffs, tol=DEFAULT_TOL):
 
 
 def positive6(cls, d, t, tol=DEFAULT_TOL):
-    """Boundary-rule test of cls's positivity margins on a tuple6."""
+    """classify of cls's least linear positivity margin on a tuple6, then
+    of the quadratic one at degree 2; NaN or inf: NumericalError."""
     try:
         m, scale = cls.margins6(d, t), cls.scale6(d, t)
     except OverflowError as exc:
         raise NumericalError(f"the positivity margins overflow: {exc}")
-    lin, quad = m[:-1], m[-1]
-    lo = min(lin)
-    if (math.isnan(sum(lin)) or not math.isfinite(lo)
-            or not math.isfinite(scale)):
-        raise NumericalError(f"margins {lin} at scale {scale}: an overflow")
-    if lo < -band(scale, tol):
-        return False
-    if not math.isfinite(quad):
-        raise NumericalError(f"margin {quad} at scale {scale} is not finite")
-    return quad >= -band(scale, tol, 2)
+    return (classify(least(m[:-1]), scale, tol) != "false"
+            and classify(m[-1], scale, tol, 2) != "false")
 
 
 def normalized(cls, type_name, A, B, C, rt, d):
@@ -269,8 +262,9 @@ def realize(cls, type_name, A, B, C, sign, d):
 
 def extremal(cls, type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3):
     """The extremal trace-preserving positive covariant map of type_name,
-    one of cls.types(d), as a cls.  The swept types need A, B >= 0 and
-    AB >= C^2; sign = +1 or -1 picks the root sqrt(AB - C^2)."""
+    one of cls.types(d), as a cls.  The swept types need A, B >= 0, A + B
+    > 0 and AB >= C^2, checked within TP_TOL at A + B = 1, the catalogue's
+    scale; sign = +1 or -1 picks the root sqrt(AB - C^2)."""
     d = integer(d, "d", cls.MIN_D)
     fixed, swept = cls.types(d)
     if type_name not in fixed + swept:
@@ -278,8 +272,13 @@ def extremal(cls, type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3):
     A, B, C = (finite_number(v, n) for v, n in zip((A, B, C), "ABC"))
     if integer(sign, "sign", -1, ContractError) not in (-1, 1):
         raise ContractError(f"sign must be +1 or -1, got {sign!r}")
-    if type_name in swept and (A < 0 or B < 0 or A * B < C * C - TP_TOL):
-        raise ContractError("need A,B >= 0 and AB >= C^2")
+    if type_name in swept:
+        n = A + B
+        if A < 0 or B < 0 or not 0 < n < math.inf:
+            raise ContractError(f"need A,B >= 0, 0 < A + B < inf: {A, B}")
+        A, B, C = A / n, B / n, C / n
+        if A * B < C * C - TP_TOL:
+            raise ContractError("need A,B >= 0 and AB >= C^2")
     return cls.from_tuple6(d, realize(cls, type_name, A, B, C, sign, d))
 
 
@@ -296,12 +295,12 @@ def invariant_matrix(c: Coeffs, build_op):
 
 def state_check(c: Coeffs, tol=DEFAULT_TOL):
     """Raise unless the coefficients describe a quantum state.  The rounding
-    error of the trace is bounded by eq_tol times the sum of its terms'
-    magnitudes; an infinite bound means an overflow and is refused too."""
+    error of the trace is bounded by eq_tol times the sum S >= |trace| of its
+    terms' magnitudes; an infinite S means an overflow and is refused."""
     d, (ae, a12, a13, a23, r, _) = c.d, c.as_tuple6()
     tr = c.trace()
-    bound = tol.eq_tol * max(1.0, d**3 * abs(ae) + 2 * d * abs(r)
-                             + d**2 * (abs(a12) + abs(a13) + abs(a23)))
+    bound = tol.eq_tol * (d**3 * abs(ae) + 2 * d * abs(r)
+                          + d**2 * (abs(a12) + abs(a13) + abs(a23)))
     if not abs(tr - 1.0) <= bound < math.inf:
         raise ContractError(f"trace {tr} != 1: not a normalized state")
     if not is_cp(c, tol):

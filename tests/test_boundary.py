@@ -1,5 +1,9 @@
-"""The one boundary rule: linalg.classify, and certificates whose checks are
-each classified from their own margin."""
+"""The one boundary rule: linalg.classify, with a band that scales with
+its margin and has no floor, and certificates whose checks are each
+classified from their own margin."""
+
+import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,8 +12,9 @@ from hypothesis import strategies as st
 
 from covwit import hh, quo, s3, werner3
 from covwit.certificate import VERDICTS, Certificate
-from covwit.linalg import (NumericalError, Tolerances, band, classify,
-                           partial_transpose)
+from covwit.cli import main
+from covwit.linalg import (ContractError, NumericalError, Tolerances, band,
+                           check_hermitian, classify, partial_transpose)
 
 # The d = 2 relation T_e = T_12 + T_13 + T_23 - T_123 - T_132 as a direction
 # in (a_e, a_12, a_13, a_23, re_123, im_123): it names the zero operator.
@@ -17,13 +22,16 @@ D2_NULL = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 0.0])
 
 
 def test_classify_band_and_degree():
+    """band = psd_tol * scale^degree, below scale 1 as well: no floor."""
     tol = Tolerances(psd_tol=0.125)
-    assert band(0.5, tol) == 0.125 and band(4.0, tol) == 0.5
+    assert band(0.5, tol) == 0.0625 and band(4.0, tol) == 0.5
     assert band(4.0, tol, degree=2) == 2.0
+    assert band(0.5, tol, degree=2) == 0.03125
     assert classify(-0.2, 0.5, tol) == "false"
-    assert classify(-0.125, 0.5, tol) == "boundary"
-    assert classify(0.125, 0.5, tol) == "boundary"
-    assert classify(0.2, 0.5, tol) == "true"
+    assert classify(-0.125, 0.5, tol) == "false"
+    assert classify(-0.0625, 0.5, tol) == "boundary"
+    assert classify(0.0625, 0.5, tol) == "boundary"
+    assert classify(0.125, 0.5, tol) == "true"
     assert classify(-1.0, 4.0, tol) == "false"
     assert classify(-1.0, 4.0, tol, degree=2) == "boundary"
     assert classify(0.0, 0.0) == "boundary"
@@ -51,6 +59,10 @@ OVERFLOWS = {
     "witness_sweep-nan-first": lambda: _sweep_with_nan_row(0),
     "witness_sweep-nan-middle": lambda: _sweep_with_nan_row(9),
     "witness_sweep-nan-last": lambda: _sweep_with_nan_row(-1),
+    "positive6-nan-linear": lambda: s3.positive6(
+        werner3.S3Coeffs, 3, (float("inf"), float("-inf"), 0, 0, 0, 0)),
+    "positive6-inf-quadratic": lambda: s3.positive6(
+        werner3.S3Coeffs, 3, (1e200, 0, 0, 0, 0, 0)),
 }
 
 
@@ -137,3 +149,95 @@ def test_quo_d2_verdicts_ignore_the_null_direction(v, t, t_sign, lam,
     assert b.verdict == a.verdict
     assert ({k: ch["verdict"] for k, ch in b.checks.items()}
             == {k: ch["verdict"] for k, ch in a.checks.items()})
+
+
+# Coefficients 0 or of magnitude 1e-3 to 1: scaled by 2^k, k in [-80, 80],
+# every product and difference the closed forms take stays a normal float,
+# so the scaled arithmetic is the original's times a power of two, exactly.
+COEFF = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+FAMILY = st.one_of(st.tuples(st.just(werner3.S3Coeffs), st.integers(3, 8)),
+                   st.tuples(st.just(quo.QuoCoeffs), st.integers(2, 8)))
+
+
+def _sweep_verdict(c):
+    """(verdict, least minimum) of witness_sweep over the grid-8 catalogue,
+    with werner3's L0 and exact Type III row."""
+    if isinstance(c, werner3.S3Coeffs):
+        items = chain(werner3.witness_rows(c.d, 8), s3.exact_rows(c))
+    else:
+        items = s3.catalogue(quo.QuoCoeffs, c.d, 8)
+    cert = Certificate("scale", c.d, {})
+    s3.witness_sweep(cert, c, items)
+    check = cert.checks["witness_sweep"]
+    return check["verdict"], check["evidence"]["min_eig"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(FAMILY, st.lists(COEFF, min_size=6, max_size=6), st.integers(-80, 80))
+def test_verdicts_are_invariant_under_power_of_two_scaling(family, v, k):
+    """Every PSD question of werner3 and quo is homogeneous in the
+    coefficients, and so is its band, so c and 2^k c get the same verdict
+    from each cut, positivity and the witness sweep; a margin of exactly 0
+    is skipped.  (hh's margins are affine, so this does not apply there.)"""
+    cls, d = family
+    c = cls.from_tuple6(d, v)
+    scaled = c.scale_by(2.0**k)
+    for cut in ("", "A", "B", "C"):
+        verdict, m = s3.classify_cut(c, cut)
+        if m != 0:
+            assert s3.classify_cut(scaled, cut)[0] == verdict, cut
+    if 0 not in cls.margins6(d, c.as_tuple6()):
+        assert (s3.positive6(cls, d, scaled.as_tuple6())
+                == s3.positive6(cls, d, c.as_tuple6()))
+    verdict, lo = _sweep_verdict(c)
+    if lo != 0:
+        assert _sweep_verdict(scaled)[0] == verdict
+
+
+def test_quo_npt_state_at_d_1000_is_entangled(tmp_path, capsys):
+    """A-BC-NPT by half the state's own least eigenvalue (9.99e-10): an
+    absolute band of 1e-9 would read it "boundary" and SEPARABLE."""
+    for d, coeffs, margin in (
+            (1000, "1/1001500000,3/2003000000,0,0,0,0", -4.99e-10),
+            (100, "1/1015000,3/2030000,0,0,0,0", None)):
+        out = tmp_path / f"quo-{d}.json"
+        assert main(["certify", "quo", "--d", str(d), "--coeffs", coeffs,
+                     "--json", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert cert["verdict"] == "ENTANGLED", d
+        check = cert["checks"]["ppt_A-BC"]
+        assert check["verdict"] == "false", d
+        if margin is not None:
+            assert check["evidence"]["margin"] == pytest.approx(margin,
+                                                                rel=1e-3)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("d", [10**3, 10**5, 10**6])
+def test_rho_t_at_large_d_is_entangled_by_its_witnesses(d):
+    """rho_t(d, 1) is A-BC PPT with a least eigenvalue of about d^-3, and L0
+    sees its entanglement at every d."""
+    cert = werner3.detect_entanglement_w3(werner3.rho_t_coeffs(d, 1))
+    assert cert.checks["ppt_A-BC"]["verdict"] == "true"
+    assert cert.checks["witness_sweep"]["verdict"] == "false"
+    assert cert.verdict == "ENTANGLED"
+
+
+def test_check_hermitian_is_relative_at_small_scale():
+    h = np.array([[1.0, 1.0], [1.0, 1.0]])
+    k = np.array([[0.0, 0.1], [-0.1, 0.0]])
+    with pytest.raises(ContractError):
+        check_hermitian(1e-12 * (h + k))
+    assert np.array_equal(check_hermitian(1e-12 * h), 1e-12 * h)
+
+
+def test_extremal_reads_a_swept_point_at_a_plus_b_one():
+    """(A, B, C) and (kA, kB, kC) name the same map, and AB >= C^2 is
+    checked at A + B = 1."""
+    tiny = werner3.extremal_w3("II", 2**-40, 2**-40, 0).as_tuple6()
+    one = werner3.extremal_w3("II", 1, 1, 0).as_tuple6()
+    assert [x.hex() for x in tiny] == [x.hex() for x in one]
+    with pytest.raises(ContractError, match=r"AB >= C\^2"):
+        werner3.extremal_w3("II", 1e-7, 1e-7, 1e-6)
+    with pytest.raises(ContractError):
+        werner3.extremal_w3("II", 0, 0, 0)
