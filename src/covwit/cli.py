@@ -179,9 +179,10 @@ def cmd_sweep(args):
     with (open(args.out, "w", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write("a,b,c,positive,cp,ccp,ppt,eb\n")  # each row as it is made
-        for a in np.linspace(0.0, d / (d - 1), n):
-            for b in np.linspace(-1.0, 1.0, n):
-                for c in np.linspace(-1.0, 1.0, n):
+        axis = s3.linspace(-1.0, 1.0, n)
+        for a in s3.linspace(0.0, d / (d - 1), n):
+            for b in axis:
+                for c in axis:
                     co = hh.HHCoeffs(d, a, b, c)
                     pos, cp = hh.is_positive(co)[0], hh.is_cptp(co)
                     ccp = hh.is_ccp(co)

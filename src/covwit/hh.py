@@ -240,7 +240,7 @@ def doc_triple(co: HHCoeffs) -> DOCTriple:
 def doc_is_cptp(t: DOCTriple, tol=DEFAULT_TOL):
     """CPTP test in the (A, B, C) form: A entrywise nonnegative with unit
     column sums, B PSD, C Hermitian with |C_ij|^2 <= A_ij A_ji; the two
-    inequalities by the boundary rule at scale max(max|A|, max|C|)."""
+    inequalities at scale s = max(max|A|, max|C|) and, quadratic, s * s."""
     a, b, c = t.A, t.B, t.C
     s = max(np.abs(a).max(), np.abs(c).max())
     if (classify(np.min(a.real), s, tol) == "false"
@@ -253,7 +253,7 @@ def doc_is_cptp(t: DOCTriple, tol=DEFAULT_TOL):
     if np.abs(c - c.conj().T).max() > tol.eq_tol:
         return False
     m = np.min(a.real * a.real.T - np.abs(c) ** 2)
-    return classify(m, s, tol, 2) != "false"
+    return classify(m, s * s, tol) != "false"
 
 
 def decide(co: HHCoeffs, tol=DEFAULT_TOL) -> Certificate:

@@ -2,11 +2,11 @@
 checks, the size cap on dense builds, and the boundary rule.
 
 The boundary rule decides every signed margin, closed form or dense: a
-margin of degree k at scale s (the largest |coefficient| in the family's
-independent coordinates, or ||x||_F for a dense x) has the band psd_tol
-times s^k, no floor, and reads "false" below -band, "boundary" within it
-and "true" above it.  "boundary" counts as passing.  A margin homogeneous
-of degree k so gets the same verdict for c and 2^j c, exactly.
+margin at scale s (the largest |coefficient| in the family's independent
+coordinates, or ||x||_F for a dense x) has the band psd_tol times s, no
+floor, and reads "false" below -band, "boundary" within it and "true"
+above it; "boundary" counts as passing.  A margin homogeneous of degree 1,
+as an entry or eigenvalue is, gets the same verdict for c and 2^j c.
 """
 
 import cmath
@@ -161,17 +161,17 @@ def check_hermitian(x, tol=DEFAULT_TOL):
     return (x + x.conj().T) / 2.0
 
 
-def band(scale, tol=DEFAULT_TOL, degree=1):
-    """Half-width of the boundary band: psd_tol * scale^degree."""
-    return tol.psd_tol * scale ** degree
+def band(scale, tol=DEFAULT_TOL):
+    """Half-width of the boundary band: psd_tol * scale."""
+    return tol.psd_tol * scale
 
 
-def classify(margin, scale, tol=DEFAULT_TOL, degree=1):
+def classify(margin, scale, tol=DEFAULT_TOL):
     """The verdict "false", "boundary" or "true" of a margin; a margin or
     scale that is not finite comes from an overflow: NumericalError."""
     if not (cmath.isfinite(margin) and cmath.isfinite(scale)):
         raise NumericalError(f"margin {margin} at scale {scale} is not finite")
-    b = band(scale, tol, degree)
+    b = band(scale, tol)
     if margin < -b:
         return "false"
     return "boundary" if margin <= b else "true"

@@ -54,18 +54,18 @@ class QuoCoeffs(s3.Coeffs):
 
     @staticmethod
     def margins6(d, t):
-        """Slacks of the closed-form positivity inequalities for
-        M = sum a M_sigma (equivalently PSD-ness of M(e_11))."""
+        """Positivity margins of M = sum a M_sigma (all >= 0 iff M(e_11) is
+        PSD), the last the least eigenvalue of its 2x2 block."""
         if d == 2:
             _, a12, a13, a23, r, s = reduce_d2(d, t)
             s1 = a12 + a13 + a23 + 2 * r
             return (a12, a13, a23, s1,
-                    s1 * a23 - abs(complex(a23 + r, s)) ** 2)
+                    s3.least2(s1, a23, complex(a23 + r, s)))
         ae, a12, a13, a23, r, s = t
         s1 = ae + a12 + a13 + a23 + 2 * r
         s2 = ae + (d - 1) * a23
         return (ae, ae + a12, ae + a13, s1, s2,
-                s1 * s2 - (d - 1) * abs(complex(a23 + r, s)) ** 2)
+                s3.least2(s1, s2, (d - 1) ** 0.5 * complex(a23 + r, s)))
 
 
 def reduce_d2(d, t):

@@ -5,14 +5,15 @@ operators V_sigma, U(x)Ubar(x)U-invariant ones (quo) by T_sigma =
 V_sigma^{T_B}.  A family is data on its coefficient class: its basis
 (TRANSPOSED), positivity margins (margins6) and extremal types (TUPLES,
 types, and KIND: CP, CCP or neither).  This module answers the rest once
-for both: every PSD question through the two block forms of the V_sigma
-algebra that block(c, cut) picks, the extremal maps, the witness catalogue
-(the decomposable types over one table of grid points per grid, each
-point's rows as conjugate pairs, checked once per (class, d, grid)), the
-exact row of each type that is neither, and the one-pass sweep, which
-shares five of a pair's six products between its two rows.  A swept
-witness's id prints A, B and C in full (repr), so it names the row
-realize makes.
+for both: every PSD question (positivity through L(e_11)'s blocks, the
+rest through the two block forms of the V_sigma algebra that block(c, cut)
+picks, a 2x2 block by its least eigenvalue, least2), the extremal maps,
+the witness catalogue (the decomposable types over one table of grid
+points per grid, each point's rows as conjugate pairs, checked once per
+(class, d, grid), a refused row a NumericalError), the exact row of each
+type that is neither, and the one-pass sweep, which shares five of a
+pair's six products between its two rows.  A swept witness's id prints A,
+B and C in full (repr), so it names the row realize makes.
 """
 
 import cmath
@@ -45,9 +46,9 @@ class Coeffs:
     reality pattern: a_e, a_12, a_13, a_23 real (stored as float), a_123
     complex, a_132 = conj(a_123) (never stored), d an int.  Subclasses set
     MIN_D, the family's least d, TRANSPOSED, the factors its basis
-    transposes off V_sigma, margins6(d, t), its positivity slacks (all
-    linear but the last, quadratic one) on a tuple6, the as_tuple6 layout
-    in plain floats, and TUPLES and types(d), its extremal types."""
+    transposes off V_sigma, margins6(d, t), its positivity margins (L(e_11)'s
+    block entries, the last its 2x2 block's least2) on a tuple6 in the
+    as_tuple6 layout, and TUPLES and types(d), its extremal types."""
 
     d: int
     a_e: float
@@ -124,12 +125,15 @@ class Table2Block:
     mult: tuple
 
     def min_margin(self):
-        """The least eigenvalue of the operator, of nonzero multiplicity;
-        the block's is (b00 + b11)/2 - hypot((b00 - b11)/2, |b01|)."""
-        lo = ((self.b00 + self.b11) / 2
-              - math.hypot((self.b00 - self.b11) / 2, abs(self.b01)))
-        return least([v for v, m in zip((self.s1, self.s2, lo), self.mult)
-                      if m])
+        """The least eigenvalue of the operator, of nonzero multiplicity."""
+        v = (self.s1, self.s2, least2(self.b00, self.b11, self.b01))
+        return least([x for x, m in zip(v, self.mult) if m])
+
+
+def least2(b00, b11, b01):
+    """The least eigenvalue of the Hermitian block [[b00, b01],
+    [conj(b01), b11]]: (b00 + b11)/2 - hypot((b00 - b11)/2, |b01|)."""
+    return (b00 + b11) / 2 - math.hypot((b00 - b11) / 2, abs(b01))
 
 
 def F_iso(c: Coeffs) -> Table2Block:
@@ -224,14 +228,15 @@ def ppt(c: Coeffs, tol=DEFAULT_TOL):
 
 
 def positive6(cls, d, t, tol=DEFAULT_TOL):
-    """classify of cls's least linear positivity margin on a tuple6, then
-    of the quadratic one at degree 2; NaN or inf: NumericalError."""
+    """classify of cls's least positivity margin lo on a tuple6 at
+    max(scale6, max |margin|) = max(scale6, max m, -lo), L(e_11)'s own scale
+    (its block entries are the margins); NaN or inf: NumericalError."""
     try:
         m, scale = cls.margins6(d, t), cls.scale6(d, t)
     except OverflowError as exc:
         raise NumericalError(f"the positivity margins overflow: {exc}")
-    return (classify(least(m[:-1]), scale, tol) != "false"
-            and classify(m[-1], scale, tol, 2) != "false")
+    lo = least(m)
+    return classify(lo, max(scale, max(m), -lo), tol) != "false"
 
 
 def normalized(cls, type_name, A, B, C, rt, d):
@@ -362,50 +367,45 @@ def grid_points(grid):
         yield A, B, C, -1
 
 
-_REFUSED = {}  # (cls, d, grid, swept types) -> (type, A, B, C) pairs refused
+def check_row(cls, d, key, row):
+    """A NumericalError naming the row key unless positive6 passes row."""
+    if not positive6(cls, d, row):
+        raise NumericalError(f"the row {witness_id(key)} is not positive")
+
+
+_CHECKED = set()  # the (cls, d, grid) whose catalogue rows all passed
 
 
 def catalogue(cls, d, grid):
     """Witness items of cls, one at a time: each fixed type's row (name,
     tuple6), then one item (A, B, C, pairs) per point of grid_table(grid),
     pairs = [(type, tuple6), ...] over the decomposable swept types (KIND
-    "CP" or "CCP") that realize accepts there; a type that is neither gets
-    exact_rows instead.  A pair stands for two rows: tuple6 is the +1 row,
-    and the -1 row, its complex conjugate, is tuple6 with im a_123 negated,
-    since TUPLES put the root in that slot only and the normalizer never
-    reads it.  margins6 and scale6 read im a_123 only through |.|, so
-    realize accepts both rows of a pair or neither, and a pair takes one
-    normalized call and one check.  The items depend on (cls, d, grid)
-    alone, so each pair is checked once: the first pass to run to its end
-    records the (type, A, B, C) refused, and later passes skip those."""
+    "CP" or "CCP"); a type that is neither gets exact_rows instead.  A pair
+    stands for two rows: tuple6 is the +1 row, and the -1 row, its complex
+    conjugate, is tuple6 with im a_123 negated, since TUPLES put the root in
+    that slot only and the normalizer never reads it; margins6 and scale6
+    read im a_123 only through |.|, so positive6 passes both or neither.
+    Before the first pass of a (cls, d, grid), check_row checks each fixed
+    and +1 row once; only a check that passes is recorded."""
     d = integer(d, "d", cls.MIN_D)
     fixed, swept = cls.types(d)
     swept = tuple(t for t in swept if cls.KIND[t] != "neither")
+    table = grid_table(grid)
+    if (cls, d, grid) not in _CHECKED:
+        for t in fixed:
+            check_row(cls, d, t, normalized(cls, t, 0.0, 0.0, 0.0, 0.0, d))
+        for A, B, C, root in zip(*[iter(table)] * 4):
+            for t in swept:
+                check_row(cls, d, (t, A, B, C, +1),
+                          normalized(cls, t, A, B, C, root, d))
+        _CHECKED.add((cls, d, grid))
     for t in fixed:
-        yield t, realize(cls, t, 0.0, 0.0, 0.0, +1, d)
-    table = iter(grid_table(grid))
-    record = (cls, d, grid, swept)
-    refused = _REFUSED.get(record)
-    check = refused is None
-    if check:
-        refused = set()
-    for A, B, C, root in zip(table, table, table, table):
+        yield t, normalized(cls, t, 0.0, 0.0, 0.0, 0.0, d)
+    for A, B, C, root in zip(*[iter(table)] * 4):
         pairs = []
         for t in swept:
-            if refused and (t, A, B, C) in refused:
-                continue
-            try:
-                row = normalized(cls, t, A, B, C, root, d)
-            except ContractError:
-                row = None
-            if row is None or check and not positive6(cls, d, row):
-                refused.add((t, A, B, C))
-                continue
-            pairs.append((t, row))
-        if pairs:
-            yield A, B, C, pairs
-    if check:
-        _REFUSED[record] = frozenset(refused)
+            pairs.append((t, normalized(cls, t, A, B, C, root, d)))
+        yield A, B, C, pairs
 
 
 def rows(items):

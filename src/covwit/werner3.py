@@ -58,12 +58,12 @@ class S3Coeffs(s3.Coeffs):
 
     @staticmethod
     def margins6(d, t):
-        """Slacks of the closed-form positivity inequalities (all >= 0 iff
-        the associated map is positive iff L(e_11) is PSD)."""
+        """Positivity margins (all >= 0 iff the map is positive iff L(e_11)
+        is PSD), the last the least eigenvalue of its 2x2 block."""
         ae, a12, a13, a23, r, s = t
         return (ae + a12, ae + a13, ae - abs(a23),
                 ae + a12 + a13 + a23 + 2 * r,
-                (ae + a12) * (ae + a13) - abs(complex(a23 + r, s)) ** 2)
+                s3.least2(ae + a12, ae + a13, complex(a23 + r, s)))
 
 
 def build_L(sigma, d) -> LinMap:

@@ -22,18 +22,15 @@ D2_NULL = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 0.0])
 
 
 def test_classify_band_and_degree():
-    """band = psd_tol * scale^degree, below scale 1 as well: no floor."""
+    """band = psd_tol * scale, below scale 1 as well: no floor."""
     tol = Tolerances(psd_tol=0.125)
     assert band(0.5, tol) == 0.0625 and band(4.0, tol) == 0.5
-    assert band(4.0, tol, degree=2) == 2.0
-    assert band(0.5, tol, degree=2) == 0.03125
     assert classify(-0.2, 0.5, tol) == "false"
     assert classify(-0.125, 0.5, tol) == "false"
     assert classify(-0.0625, 0.5, tol) == "boundary"
     assert classify(0.0625, 0.5, tol) == "boundary"
     assert classify(0.125, 0.5, tol) == "true"
     assert classify(-1.0, 4.0, tol) == "false"
-    assert classify(-1.0, 4.0, tol, degree=2) == "boundary"
     assert classify(0.0, 0.0) == "boundary"
 
 
@@ -54,15 +51,13 @@ OVERFLOWS = {
         werner3.S3Coeffs(3, 1e308, 1e308, 1e308, 1e308, 1e308)),
     "ppt_quo-abs-b01": lambda: quo.ppt_quo(
         quo.QuoCoeffs(3, 1e308, -1e308, 1e308, 1e308, 1e308)),
-    "is_positive_w3-square": lambda: werner3.is_positive_w3(
-        werner3.S3Coeffs(3, 1e200, 1e200, 1e200, -1e200, 0)),
     "witness_sweep-nan-first": lambda: _sweep_with_nan_row(0),
     "witness_sweep-nan-middle": lambda: _sweep_with_nan_row(9),
     "witness_sweep-nan-last": lambda: _sweep_with_nan_row(-1),
     "positive6-nan-linear": lambda: s3.positive6(
         werner3.S3Coeffs, 3, (float("inf"), float("-inf"), 0, 0, 0, 0)),
-    "positive6-inf-quadratic": lambda: s3.positive6(
-        werner3.S3Coeffs, 3, (1e200, 0, 0, 0, 0, 0)),
+    "positive6-inf-sums": lambda: s3.positive6(
+        werner3.S3Coeffs, 3, (1e308, 1e308, 0, 0, 0, 0)),
 }
 
 
@@ -70,6 +65,19 @@ OVERFLOWS = {
 def test_nan_and_overflow_are_numerical_failures(call):
     with pytest.raises(NumericalError):
         OVERFLOWS[call]()
+
+
+@pytest.mark.parametrize("t", [(1.0, 1.0, 1.0, -1.0, 0.0, 0.0),
+                               (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)],
+                         ids=["is_positive_w3-square",
+                              "positive6-inf-quadratic"])
+def test_positivity_at_1e200_is_decided_as_at_unit_scale(t):
+    """The block's least eigenvalue, unlike its determinant, is of degree 1,
+    so these inputs no longer overflow: 1e200 * t reads as t does."""
+    big = tuple(1e200 * x for x in t)
+    assert s3.positive6(werner3.S3Coeffs, 3, t) is True
+    assert s3.positive6(werner3.S3Coeffs, 3, big) is True
+    assert werner3.is_positive_w3(werner3.S3Coeffs.from_tuple6(3, big))
 
 
 def test_hh_checks_are_classified_from_their_own_margins():

@@ -1,5 +1,6 @@
-"""The witness catalogue checked once per (class, d, grid), and werner3's
-Type III row at its exact optimum over the whole parameter sphere."""
+"""The witness catalogue checked once per (class, d, grid), never skipping
+a row, and werner3's Type III row at its exact optimum over the whole
+parameter sphere."""
 
 import hashlib
 import math
@@ -18,33 +19,57 @@ W3, QUO = werner3.S3Coeffs, quo.QuoCoeffs
 
 @pytest.fixture
 def fresh(monkeypatch):
-    """An empty record of refused grid points, restored afterwards."""
-    monkeypatch.setattr(s3, "_REFUSED", {})
-    return s3._REFUSED
+    """An empty record of checked (class, d, grid), restored afterwards."""
+    monkeypatch.setattr(s3, "_CHECKED", set())
+    return s3._CHECKED
 
 
 def digest(rows):
     return hashlib.sha256(repr(list(rows)).encode()).hexdigest()
 
 
-def grid_key(cls, d, grid):
-    swept = tuple(t for t in cls.types(d)[1] if cls.KIND[t] != "neither")
-    return (cls, d, grid, swept)
-
-
 @pytest.mark.parametrize("grid", [2, 3, 16, 64])
 @pytest.mark.parametrize("cls, d", [(W3, 3), (W3, 4), (QUO, 2), (QUO, 3)])
 def test_warm_rows_are_the_cold_rows_byte_for_byte(fresh, cls, d, grid):
     cold = digest(s3.catalogue(cls, d, grid))
-    assert fresh == {grid_key(cls, d, grid): frozenset()}
+    assert fresh == {(cls, d, grid)}
     assert digest(s3.catalogue(cls, d, grid)) == cold
     assert len(fresh) == 1
 
 
-def refusing(monkeypatch, cls, d, key, exc=None):
-    """Patch cls.margins6 to refuse the grid row key (or raise exc there);
-    returns the list of tuples margins6 is called on."""
-    target = s3.realize(cls, *key, d)
+def full_count(cls, d, grid):
+    """Rows of a catalogue that skips none: each fixed type once, each
+    decomposable swept type twice (two signs) per grid point."""
+    fixed, swept = cls.types(d)
+    return len(fixed) + 2 * grid * grid * sum(cls.KIND[t] != "neither"
+                                              for t in swept)
+
+
+@pytest.mark.parametrize("grid", [16, 64])
+@pytest.mark.parametrize("d", [10**6, 10**9, 2**53])
+@pytest.mark.parametrize("cls", [W3, QUO])
+def test_no_row_is_refused_at_large_d(fresh, cls, d, grid):
+    """The degree-2 determinant slack refused quo Type III/IV rows from
+    d = 10^6 on; the block's least eigenvalue refuses none."""
+    rows = list(s3.rows(s3.catalogue(cls, d, grid)))
+    assert len(rows) == full_count(cls, d, grid)
+    assert fresh == {(cls, d, grid)}
+
+
+@pytest.mark.parametrize("key", [
+    ("III", 0.0625, 0.9375, 0.0, +1), ("III", 0.0625, 0.9375, 0.0, -1),
+    ("IV", 0.0625, 0.9375, 0.0, +1), ("IV", 0.9375, 0.0625, 0.0, +1),
+    ("IV", 14 / 15, 1 / 15, 0.2, -1)])
+def test_extremal_quo_accepts_type_iii_and_iv_at_d_1e9(key):
+    c = quo.extremal_quo(*key, 10**9)
+    assert (s3.is_cp if key[0] == "III" else s3.is_ccp)(c)
+
+
+def refusing(monkeypatch, cls, d, key=None, exc=None):
+    """Patch cls.margins6 to refuse the grid row key (or raise exc there),
+    no row without a key; returns the list of tuples margins6 is called
+    on."""
+    target = None if key is None else s3.realize(cls, *key, d)
     margins6, calls = cls.margins6, []
 
     def patched(d, t):
@@ -59,31 +84,43 @@ def refusing(monkeypatch, cls, d, key, exc=None):
     return calls
 
 
-def test_a_refused_point_is_skipped_on_both_passes(fresh, monkeypatch):
-    """The first pass checks every pair, by its +1 row, and records the one
-    refusal, which drops both rows of the pair; the second checks no grid
-    row (only the fixed type I) and skips the pair too."""
+def test_a_refused_row_is_a_numerical_error_that_names_it(fresh,
+                                                           monkeypatch):
+    """The check refuses before the first item, at the row, and records
+    nothing, so the next call checks again."""
     grid, key = 3, ("II", 0.5, 0.5, 0.0, 1)  # the one row of its tuple
-    assert key[1:] in list(s3.grid_points(grid))
+    assert list(s3.grid_points(grid)).index(key[1:]) == 2 * 4
     calls = refusing(monkeypatch, W3, 3, key)
-    cold = list(s3.rows(s3.catalogue(W3, 3, grid)))
-    assert key[:4] not in [k[:4] for k, _ in cold] and len(cold) == 17
-    assert fresh == {grid_key(W3, 3, grid): frozenset({key[:4]})}
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(NumericalError,
+                           match=re.escape(s3.witness_id(key))):
+            next(s3.catalogue(W3, 3, grid))
+        assert len(calls) == 1 + 5 and fresh == set()  # I, then 5 points
+
+
+def test_each_row_is_checked_once(fresh, monkeypatch):
+    """The first call checks the fixed row and each pair's +1 row, never
+    the -1 row; a later call checks none and makes the same rows."""
+    calls = refusing(monkeypatch, W3, 3)
+    cold = list(s3.rows(s3.catalogue(W3, 3, 3)))
+    assert len(cold) == full_count(W3, 3, 3) == 19
+    assert len(calls) == 1 + 9 and fresh == {(W3, 3, 3)}
     calls.clear()
-    assert list(s3.rows(s3.catalogue(W3, 3, grid))) == cold
-    assert len(calls) == 1  # the fixed type I
+    assert list(s3.rows(s3.catalogue(W3, 3, 3))) == cold and not calls
 
 
 def test_a_stopped_pass_records_nothing(fresh, monkeypatch):
+    """An overflow in the check stops it before the first item; nothing
+    is recorded, and the next call checks again."""
     key = ("II", *list(s3.grid_points(2))[-2])  # the last pair's +1 row
     assert key[-1] == 1
-    refusing(monkeypatch, W3, 3, key, OverflowError("boom"))
-    with pytest.raises(NumericalError):
-        list(s3.catalogue(W3, 3, 2))
-    rows = s3.catalogue(W3, 3, 2)
-    next(rows), next(rows)
-    rows.close()  # a consumer that stops early
-    assert fresh == {}
+    calls = refusing(monkeypatch, W3, 3, key, OverflowError("boom"))
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(NumericalError):
+            next(s3.catalogue(W3, 3, 2))
+        assert calls and fresh == set()
 
 
 @pytest.mark.parametrize("grid", [2, 3, 16, 64])
@@ -115,7 +152,7 @@ def test_the_grid_256_table_takes_under_3_mb(monkeypatch):
 def test_the_record_has_no_key_on_coefficients(fresh):
     for t in np.linspace(0.1, 6.0, 50):
         werner3.detect_entanglement_w3(werner3.rho_t_coeffs(3, t), grid=4)
-    assert list(fresh) == [grid_key(W3, 3, 4)]
+    assert fresh == {(W3, 3, 4)}
 
 
 def test_an_exact_row_realize_refuses_is_a_numerical_error(monkeypatch):

@@ -99,6 +99,17 @@ def test_certify_quo_mixed_state(capsys):
     assert "verdict: SEPARABLE" in capsys.readouterr().out
 
 
+def test_certify_quo_at_d_1e9_sweeps_every_row(tmp_path):
+    """No catalogue row is refused at d = 10^9: 2 fixed rows and 4 per
+    point of the grid-16 table."""
+    out = tmp_path / "quo-1e9.json"
+    assert run(["certify", "quo", "--d", "1000000000", "--coeffs",
+                "1e-27,0,0,0,0,0", "--json", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    assert cert["verdict"] == "SEPARABLE"
+    assert cert["checks"]["witness_sweep"]["evidence"]["count"] == 1026
+
+
 def test_state_rho_t_roundtrip(tmp_path, capsys):
     out = tmp_path / "rho.json"
     assert run(["state", "rho-t", "--d", "3", "--t", "1", "--out",
@@ -207,6 +218,9 @@ def test_sweep_csv_shape(tmp_path):
         parts = ln.split(",")
         assert len(parts) == 8
         assert parts[6] == parts[7]  # eb == ppt on this family
+    a, b, c = (sorted({float(ln.split(",")[k]) for ln in lines[1:]})
+               for k in range(3))
+    assert a == s3.linspace(0.0, 1.5, 5) and b == c == s3.linspace(-1, 1, 5)
 
 
 def test_exit_code_invalid_input(capsys):

@@ -77,14 +77,14 @@ def test_cli_imports_oracle_only_for_selftest():
 
 
 def module_dicts():
-    """Every module-level dict of every covwit module, by name."""
+    """Every module-level dict and set of every covwit module, by name."""
     import covwit
 
     out = {}
     for info in pkgutil.iter_modules(covwit.__path__):
         mod = importlib.import_module(f"covwit.{info.name}")
         out.update((f"{info.name}.{name}", v) for name, v in vars(mod).items()
-                   if isinstance(v, dict) and not name.startswith("__"))
+                   if isinstance(v, (dict, set)) and not name.startswith("__"))
     return out
 
 
@@ -118,6 +118,7 @@ def test_no_module_dict_grows_with_the_states_swept(family):
     assert len({c.as_tuple6() for c in seen}) == 200
     decide(seen[0], grid=8)
     dicts = module_dicts()
+    assert {"s3._CHECKED", "s3._GRIDS"} <= set(dicts)
     after_one = {name: len(v) for name, v in dicts.items()}
     for c in seen[1:]:
         decide(c, grid=8)

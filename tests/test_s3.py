@@ -151,8 +151,8 @@ EXTREMALS = {
                          + [("quo", d) for d in (2, 3, 4, 5)])
 def test_catalogue_rows_are_the_public_extremals(case, grid):
     """One path: every catalogue row is the as_tuple6() of the extremal
-    the public extremal_* makes at that grid point, in order; the grid
-    points extremal_* refuses are the ones the catalogue skips."""
+    the public extremal_* makes at that grid point, in order; extremal_*
+    refuses no grid point and the catalogue skips none."""
     family, d = case
     extremal_fn, types = EXTREMALS[family]
     fixed, swept = types(d)
@@ -161,22 +161,21 @@ def test_catalogue_rows_are_the_public_extremals(case, grid):
     want += [(t, extremal_fn(t, d=d).as_tuple6()) for t in fixed]
     for A, B, C, sign in s3.grid_points(grid):
         for t in swept:
-            try:
-                want.append((f"{t}[{A!r},{B!r},{C!r},{sign:+d}]",
-                             extremal_fn(t, A, B, C, sign, d).as_tuple6()))
-            except ContractError:
-                pass
+            want.append((f"{t}[{A!r},{B!r},{C!r},{sign:+d}]",
+                         extremal_fn(t, A, B, C, sign, d).as_tuple6()))
     assert FAMILIES[family][3](d, grid) == want
 
 
 @settings(max_examples=200)
-@given(n=st.integers(2, 300), m=st.integers(2, 300), i=st.integers(0, 299))
-def test_grid_points_are_np_linspace_bit_for_bit(n, m, i):
+@given(n=st.integers(2, 300), m=st.integers(2, 300), i=st.integers(0, 299),
+       d=st.integers(3, 39))
+def test_grid_points_are_np_linspace_bit_for_bit(n, m, i, d):
     """The catalogue's u range [-1, 1] and, at the i-th u of an m-point
-    grid, its C range [-cmax, cmax]."""
+    grid, its C range [-cmax, cmax]; and `sweep hh`'s a axis [0, d/(d-1)],
+    whose CSV bytes were np.linspace's."""
     u = s3.linspace(-1.0, 1.0, m)[i % m]
     cmax = math.sqrt((1 + u) / 2 * ((1 - u) / 2))
-    for lo, hi in ((-1.0, 1.0), (-cmax, cmax)):
+    for lo, hi in ((-1.0, 1.0), (-cmax, cmax), (0.0, d / (d - 1))):
         got = np.array(s3.linspace(lo, hi, n))
         assert got.tobytes() == np.linspace(lo, hi, n).tobytes()
 
