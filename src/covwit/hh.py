@@ -15,8 +15,7 @@ import numpy as np
 from .certificate import Certificate
 from .choi import LinMap
 from .linalg import (DEFAULT_TOL, ContractError, UnsupportedDimensionError,
-                     check_dense, classify, finite_number, identity, integer,
-                     is_psd)
+                     check_dense, classify, finite_number, integer)
 
 CONSTRAINT_TAGS = (1, 2, 3, 4, 5, 6)
 
@@ -44,15 +43,6 @@ class HHCoeffs:
     def swapped(self):
         """Transpose-composed coefficients: psi_{a,b,c} o T = psi_{a,c,b}."""
         return HHCoeffs(self.d, self.a, self.c, self.b)
-
-
-@dataclass(frozen=True)
-class DOCTriple:
-    """The (A, B, C) matrix triple of the diagonal-orthogonal-covariant form."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -197,63 +187,6 @@ def wh_vertices(d):
     HHCoeffs."""
     return tuple(HHCoeffs(d, 1.0 - b - c, b, c)
                  for b, c in extremals(d).wh_vertices)
-
-
-def wh_w2_identity(d, tol=DEFAULT_TOL):
-    """Two separability identities behind PPT=EB on the
-    orthogonal-covariant subfamily:
-    (i) the Choi of the w2 vertex channel is the O(x)O twirl of a product
-        pure state, and
-    (ii) the A-matrix of the w1 vertex splits as a rank-1 plus diagonal
-        part with nonnegative entries."""
-    from .twirl import cond_expect, oo_basis
-
-    w = wh_vertices(d)
-    c2 = build_psi(w[1]).choi(normalized=True)
-    xi = np.zeros(d, dtype=complex)
-    xi[0] = 1.0 / np.sqrt(2)
-    xi[1] = 1j / np.sqrt(2)
-    psi = np.kron(xi, xi)
-    tw = cond_expect(np.outer(psi, psi.conj()), oo_basis(d))
-    ok1 = np.abs(c2 - tw).max() <= 10 * tol.eq_tol
-
-    j = np.ones((d, d))
-    a1 = (j + 2 * np.eye(d)) / (d + 2)
-    v = np.ones(d)
-    decomp = np.outer(v, v) / (d + 2) + 2 * np.eye(d) / (d + 2)
-    ok2 = np.abs(a1 - decomp).max() <= tol.eq_tol
-    return ok1 and ok2
-
-
-def doc_triple(co: HHCoeffs) -> DOCTriple:
-    """The diagonal-orthogonal-covariant (A, B, C) form of psi_{a,b,c}."""
-    d, a, b, c = co.d, co.a, co.b, co.c
-    j = np.ones((d, d), dtype=complex)
-    eye = identity(d)
-    diag = a / d + 1.0 - a
-    amat = (a / d) * j + (1.0 - a) * eye
-    bmat = b * (j - eye) + diag * eye
-    cmat = c * (j - eye) + diag * eye
-    return DOCTriple(amat, bmat, cmat)
-
-
-def doc_is_cptp(t: DOCTriple, tol=DEFAULT_TOL):
-    """CPTP test in the (A, B, C) form: A entrywise nonnegative with unit
-    column sums, B PSD, C Hermitian with |C_ij|^2 <= A_ij A_ji; the two
-    inequalities at scale s = max(max|A|, max|C|) and, quadratic, s * s."""
-    a, b, c = t.A, t.B, t.C
-    s = max(np.abs(a).max(), np.abs(c).max())
-    if (classify(np.min(a.real), s, tol) == "false"
-            or np.abs(a.imag).max() > tol.eq_tol):
-        return False
-    if np.abs(a.real.sum(axis=0) - 1.0).max() > tol.eq_tol * a.shape[0]:
-        return False
-    if not is_psd(b, tol)[0]:
-        return False
-    if np.abs(c - c.conj().T).max() > tol.eq_tol:
-        return False
-    m = np.min(a.real * a.real.T - np.abs(c) ** 2)
-    return classify(m, s * s, tol) != "false"
 
 
 def decide(co: HHCoeffs, tol=DEFAULT_TOL) -> Certificate:

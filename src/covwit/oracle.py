@@ -9,7 +9,7 @@ import numpy as np
 from .choi import LinMap
 from .linalg import (DEFAULT_TOL, ContractError, classify, integer, is_psd,
                      partial_transpose)
-from .twirl import BASES, cond_expect, family_dim
+from .twirl import BASES, cond_expect, family_dim, oo_basis
 
 MC_BATCH = 512  # group elements per stacked conjugation
 
@@ -118,6 +118,29 @@ def haar_twirl_mc(x, family, n=10000, seed=0):
                                 u).reshape(k, nn, nn)
 
     return _batched_conjugation_average(x, gens())
+
+
+def wh_w2_identity(d, tol=DEFAULT_TOL):
+    """Two separability identities behind PPT=EB on hh's
+    orthogonal-covariant subfamily, read off the dense channels:
+    (i) the Choi of the w2 vertex channel is the O(x)O twirl of a product
+        pure state, and
+    (ii) the A-matrix A_ij = psi(e_jj)_ii of the w1 vertex psi is
+        11^T/(d+2) + 2I/(d+2), a rank-1 plus a diagonal part, both with
+        nonnegative entries."""
+    from . import hh
+
+    w = hh.wh_vertices(d)
+    c2 = hh.build_psi(w[1]).choi(normalized=True)
+    xi = np.zeros(d, dtype=complex)
+    xi[:2] = np.array([1.0, 1j]) / np.sqrt(2)
+    psi = np.kron(xi, xi)
+    tw = cond_expect(np.outer(psi, psi.conj()), oo_basis(d))
+    psi1 = hh.build_psi(w[0])
+    a1 = np.stack([psi1(np.diag(e)).diagonal().real for e in np.eye(d)], 1)
+    return (np.abs(c2 - tw).max() <= 10 * tol.eq_tol
+            and np.abs(a1 - (1 + 2 * np.eye(d)) / (d + 2)).max()
+            <= tol.eq_tol)
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -285,7 +308,7 @@ def selftest(seed=0, level="quick", out=print):
     check("mc-haar-twirl", mc_twirl)
 
     def oo_identity():
-        ok = all(hh.wh_w2_identity(d) for d in (3, 4, 5, 6))
+        ok = all(wh_w2_identity(d) for d in (3, 4, 5, 6))
         return ok, "d in 3..6"
 
     check("oo-twirl-identities", oo_identity)

@@ -54,18 +54,16 @@ class QuoCoeffs(s3.Coeffs):
 
     @staticmethod
     def margins6(d, t):
-        """Positivity margins of M = sum a M_sigma (all >= 0 iff M(e_11) is
-        PSD), the last the least eigenvalue of its 2x2 block."""
-        if d == 2:
-            _, a12, a13, a23, r, s = reduce_d2(d, t)
-            s1 = a12 + a13 + a23 + 2 * r
-            return (a12, a13, a23, s1,
-                    s3.least2(s1, a23, complex(a23 + r, s)))
-        ae, a12, a13, a23, r, s = t
+        """Positivity margins of M = sum a M_sigma on reduce_d2(d, t) (all
+        >= 0 iff M(e_11) is PSD), the last the least eigenvalue of its 2x2
+        block.  a_e is an eigenvalue of M(e_11) of multiplicity d(d - 2),
+        kept only where that is nonzero, as Table2Block.min_margin does."""
+        ae, a12, a13, a23, r, s = reduce_d2(d, t)
         s1 = ae + a12 + a13 + a23 + 2 * r
         s2 = ae + (d - 1) * a23
-        return (ae, ae + a12, ae + a13, s1, s2,
-                s3.least2(s1, s2, (d - 1) ** 0.5 * complex(a23 + r, s)))
+        return (ae,) * (d > 2) + (
+            ae + a12, ae + a13, s1, s2,
+            s3.least2(s1, s2, (d - 1) ** 0.5 * complex(a23 + r, s)))
 
 
 def reduce_d2(d, t):

@@ -26,7 +26,7 @@ from .certificate import Certificate
 from .linalg import (DEFAULT_TOL, ContractError, NumericalError, check_dense,
                      classify, finite_number, integer, least)
 
-TP_TOL = 1e-12
+TP_TOL = 1e-12  # extremal's AB >= C^2 slack, read at A + B = 1 only
 GRID = 16  # default witness grid of both decision functions and --grid
 MAX_GRID = 256  # a catalogue holds about 4 grid^2 rows
 
@@ -242,10 +242,12 @@ def positive6(cls, d, t, tol=DEFAULT_TOL):
 def normalized(cls, type_name, A, B, C, rt, d):
     """The tuple6 of cls's type_name at (A, B, C) and the root rt = +-sqrt(AB
     - C^2), normalized to trace preservation, unchecked: realize's
-    arithmetic, and the catalogue's once per conjugate pair."""
+    arithmetic, and the catalogue's once per conjugate pair.  A normalizer
+    that is not > 0 (NaN too) is refused, with no absolute threshold, so a
+    map normalizes alike at every scale."""
     ae, a12, a13, a23, r, s = cls.TUPLES[type_name](A, B, C, rt, d)
     norm = d * d * ae + d * (a12 + a13 + a23) + 2 * r
-    if norm <= TP_TOL:
+    if not norm > 0.0:
         raise ContractError(
             f"degenerate trace-preservation normalizer for Type {type_name} "
             f"params {(A, B, C)}")
@@ -268,8 +270,9 @@ def realize(cls, type_name, A, B, C, sign, d):
 def extremal(cls, type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3):
     """The extremal trace-preserving positive covariant map of type_name,
     one of cls.types(d), as a cls.  The swept types need A, B >= 0, A + B
-    > 0 and AB >= C^2, checked within TP_TOL at A + B = 1, the catalogue's
-    scale; sign = +1 or -1 picks the root sqrt(AB - C^2)."""
+    > 0 and AB >= C^2, the last checked within TP_TOL after rescaling to
+    A + B = 1, the catalogue's scale, so TP_TOL is read at one scale only;
+    sign = +1 or -1 picks the root sqrt(AB - C^2)."""
     d = integer(d, "d", cls.MIN_D)
     fixed, swept = cls.types(d)
     if type_name not in fixed + swept:

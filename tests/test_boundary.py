@@ -249,3 +249,20 @@ def test_extremal_reads_a_swept_point_at_a_plus_b_one():
         werner3.extremal_w3("II", 1e-7, 1e-7, 1e-6)
     with pytest.raises(ContractError):
         werner3.extremal_w3("II", 0, 0, 0)
+
+
+@pytest.mark.parametrize("cls, d", [
+    (cls, d) for cls in (werner3.S3Coeffs, quo.QuoCoeffs)
+    for d in (2, 3, 4, 10**9) if d >= cls.MIN_D])
+def test_realize_normalizes_alike_at_every_scale(cls, d):
+    """The swept types are homogeneous in (A, B, C), so 2^-k (A, B, C)
+    names the row of (A, B, C) bit for bit; no absolute threshold on the
+    trace normalizer may refuse it at a small scale."""
+    for t in cls.types(d)[1]:
+        for A, B, C in ((0.25, 0.75, 0.1), (0.6, 0.4, -0.2), (1.0, 0.0, 0.0)):
+            for sign in (1, -1):
+                row = repr(s3.realize(cls, t, A, B, C, sign, d))
+                for k in range(-80, 81):
+                    f = 2.0**-k
+                    assert repr(s3.realize(cls, t, f * A, f * B, f * C, sign,
+                                           d)) == row, (t, A, B, C, sign, k)

@@ -5,7 +5,7 @@ behind it."""
 import numpy as np
 import pytest
 
-from covwit import hh
+from covwit import hh, oracle
 from covwit.linalg import (ContractError, DimensionError,
                            UnsupportedDimensionError, is_psd)
 from covwit.twirl import hh_basis, coefficients
@@ -149,16 +149,21 @@ def test_wh_vertices_are_ppt_with_unit_coefficient_sum():
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_wh_w2_identity(d):
-    assert hh.wh_w2_identity(d)
+    assert oracle.wh_w2_identity(d)
 
 
-def test_doc_triple_cptp_equivalence():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        co = hh.HHCoeffs(3, *rng.uniform(-1.5, 1.5, size=3))
-        if hh.on_boundary(co):
-            continue
-        assert hh.doc_is_cptp(hh.doc_triple(co)) == hh.is_cptp(co)
+@pytest.mark.parametrize("d", [3, 6])
+def test_wh_w2_identity_reads_the_w1_vertex(monkeypatch, d):
+    """Half (ii) reads the A matrix of the w1 channel, so a w1 vertex moved
+    off its place fails the identity while w2 stays as it is."""
+    vertices = hh.wh_vertices
+
+    def moved(d):
+        w1, *rest = vertices(d)
+        return (hh.HHCoeffs(d, w1.a - 0.01, w1.b + 0.01, w1.c), *rest)
+
+    monkeypatch.setattr(hh, "wh_vertices", moved)
+    assert not oracle.wh_w2_identity(d)
 
 
 def test_decide_eb_vertex():

@@ -95,6 +95,38 @@ def test_reduce_d2_preserves_invariant_matrix():
     assert quo.reduce_d2(3, t3) is t3
 
 
+def m_e11(c):
+    """Eigenvalues of the dense M(e_11) and its Frobenius norm."""
+    e11 = np.zeros((c.d, c.d), dtype=complex)
+    e11[0, 0] = 1.0
+    m = quo.build_map(c)(e11)
+    return np.linalg.eigvalsh((m + m.conj().T) / 2), np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_least_margin_is_the_least_eigenvalue_of_m_e11(d):
+    """One formula at every d, on reduce_d2(d, t): its least margin is
+    M(e_11)'s least eigenvalue."""
+    rng = np.random.default_rng(30 + d)
+    for _ in range(40):
+        c = random_coeffs(rng, d)
+        ev, norm = m_e11(c)
+        lo = min(quo.QuoCoeffs.margins6(d, c.as_tuple6()))
+        assert abs(lo - ev[0]) <= 1e-12 * norm, c
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_a_e_margin_has_multiplicity_d_times_d_minus_2(d):
+    """The a_e margin, kept only where its multiplicity d(d - 2) is not 0,
+    is that many eigenvalues of M(e_11)."""
+    rng = np.random.default_rng(40 + d)
+    for _ in range(20):
+        c = random_coeffs(rng, d)
+        ev, norm = m_e11(c)
+        assert quo.QuoCoeffs.margins6(d, c.as_tuple6())[0] == c.a_e
+        assert np.sum(np.abs(ev - c.a_e) <= 1e-12 * norm) == d * (d - 2), c
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_positivity_closed_form_vs_orbit_oracle(d):
     rng = np.random.default_rng(d)
