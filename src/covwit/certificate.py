@@ -3,14 +3,15 @@
 A certificate records, for one input family member, every membership check
 (positivity, CP, CCP, PPT per partition, EB, separability) with a verdict in
 {"true", "false", "boundary"} (from `linalg.classify`) plus the numeric
-evidence it was classified by, the witness sweep results, and the tolerances
-that produced them, so the JSON output is reproducible byte for byte.
+evidence it was classified by, the witness sweep results, and the rule's
+constants PSD_TOL and EQ_TOL, so the JSON output is reproducible byte for byte.
 """
 
 import json
 from dataclasses import dataclass, field
 
 from . import __version__
+from .linalg import EQ_TOL, PSD_TOL
 
 VERDICTS = ("true", "false", "boundary")
 
@@ -22,7 +23,8 @@ class Certificate:
     coeffs: dict
     checks: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = field(init=False, default_factory=lambda: {
+        "psd_tol": PSD_TOL, "eq_tol": EQ_TOL})
     verdict: str = None
 
     def add_check(self, name, verdict, **evidence):

@@ -45,11 +45,7 @@ class LinMap:
         return self._choi / self.d_in if normalized else self._choi
 
     def __call__(self, x):
-        x = asmatrix(x)
-        a, b = self.d_in, self.d_out
-        if x.shape != (a, a):
-            raise DimensionError(f"input shape {x.shape} != ({a},{a})")
-        return (x.reshape(-1) @ _realign(self._choi, a, b, a, b)).reshape(b, b)
+        return self.id_tensor(x, 1)
 
     def adjoint(self):
         """The adjoint L* for the bilinear pairing Tr(L(X)Y) = Tr(X L*(Y))."""
@@ -68,7 +64,7 @@ class LinMap:
         a, b = self.d_in, self.d_out
         n = d_id * a
         if rho.shape != (n, n):
-            raise DimensionError(f"state shape {rho.shape} != ({n},{n})")
+            raise DimensionError(f"input shape {rho.shape} != ({n},{n})")
         blocks = _realign(rho, d_id, a, d_id, a)
         out = blocks @ _realign(self._choi, a, b, a, b)
         return _realign(out, d_id, d_id, b, b)

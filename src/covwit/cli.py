@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__, hh, quo, s3, serialize, twirl, werner3
 from .choi import LinMap
 from .linalg import (ContractError, CovwitError, DimensionError,
-                     NumericalError, Tolerances, integer)
+                     NumericalError, integer)
 
 
 def parse_number(text):
@@ -34,11 +34,6 @@ def parse_coeffs(text):
     return [parse_number(p) for p in text.split(",")]
 
 
-def make_tol(args):
-    kw = {"psd_tol": args.tol_psd, "eq_tol": args.tol_eq}
-    return Tolerances(**{k: v for k, v in kw.items() if v is not None})
-
-
 def emit_certificate(cert, args):
     if args.json:
         with open(args.json, "w") as fh:
@@ -47,17 +42,15 @@ def emit_certificate(cert, args):
 
 
 def cmd_certify(args):
-    tol = make_tol(args)
     if args.family == "hh":
-        co = hh.HHCoeffs(args.d, parse_number(args.a), parse_number(args.b),
-                         parse_number(args.c))
-        cert = hh.decide(co, tol=tol)
+        co = hh.HHCoeffs(args.d, *map(parse_number, (args.a, args.b, args.c)))
+        cert = hh.decide(co)
     else:
         cls, decide = ((werner3.S3Coeffs, werner3.detect_entanglement_w3)
                        if args.family == "werner3"
                        else (quo.QuoCoeffs, quo.decide_quo))
         c = cls.from_tuple6(args.d, parse_coeffs(args.coeffs))
-        cert = decide(c, grid=args.grid, tol=tol)
+        cert = decide(c, grid=args.grid)
     emit_certificate(cert, args)
     return 0
 
@@ -173,9 +166,7 @@ def cmd_regions(args):
 
 def cmd_sweep(args):
     d = integer(args.d, "--d", 3, ContractError)
-    n = integer(args.grid, "--grid", 2, ContractError)
-    if n > s3.MAX_GRID:
-        raise ContractError(f"--grid must be <= {s3.MAX_GRID}, got {n}")
+    n = s3.grid_size(args.grid, "--grid")
     with (open(args.out, "w", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write("a,b,c,positive,cp,ccp,ppt,eb\n")  # each row as it is made
@@ -215,10 +206,6 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def tolerances(sp):
-        sp.add_argument("--tol-psd", type=float, default=None)
-        sp.add_argument("--tol-eq", type=float, default=None)
-
     cert = sub.add_parser("certify", help="certify a family member")
     csub = cert.add_subparsers(dest="family", required=True)
     chh = csub.add_parser("hh")
@@ -227,7 +214,6 @@ def build_parser():
     chh.add_argument("--b", required=True)
     chh.add_argument("--c", required=True)
     chh.add_argument("--json", default=None)
-    tolerances(chh)
     for fam in ("werner3", "quo"):
         cf = csub.add_parser(fam)
         cf.add_argument("--d", type=int, required=True)
@@ -235,7 +221,6 @@ def build_parser():
                         help="ae,a12,a13,a23,re123,im123")
         cf.add_argument("--grid", type=int, default=s3.GRID)
         cf.add_argument("--json", default=None)
-        tolerances(cf)
 
     st = sub.add_parser("state", help="build a named state")
     ssub = st.add_subparsers(dest="which", required=True)

@@ -8,14 +8,14 @@ explicit linear inequalities in (a, b, c), and PPT coincides with
 entanglement breaking on this family.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, UnsupportedDimensionError,
-                     check_dense, classify, finite_number, integer)
+from .linalg import (ContractError, UnsupportedDimensionError, check_dense,
+                     classify, finite_number, integer)
 
 CONSTRAINT_TAGS = (1, 2, 3, 4, 5, 6)
 
@@ -85,14 +85,14 @@ def positivity_margins(co: HHCoeffs):
     }
 
 
-def is_positive(co: HHCoeffs, tol=DEFAULT_TOL):
+def is_positive(co: HHCoeffs):
     """Positivity of psi_{a,b,c} for d >= 3; returns (bool, violated tag)."""
     if co.d < 3:
         raise UnsupportedDimensionError(
             "positivity of this family is only characterized for d >= 3")
     s = co.scale()
     for tag, m in positivity_margins(co).items():
-        if classify(m, s, tol) == "false":
+        if classify(m, s) == "false":
             return False, tag
     return True, None
 
@@ -109,22 +109,22 @@ def cptp_margins(co: HHCoeffs):
     )
 
 
-def is_cptp(co: HHCoeffs, tol=DEFAULT_TOL):
-    return classify(min(cptp_margins(co)), co.scale(), tol) != "false"
+def is_cptp(co: HHCoeffs):
+    return classify(min(cptp_margins(co)), co.scale()) != "false"
 
 
-def is_ccp(co: HHCoeffs, tol=DEFAULT_TOL):
-    return is_cptp(co.swapped(), tol)
+def is_ccp(co: HHCoeffs):
+    return is_cptp(co.swapped())
 
 
-def is_ppt(co: HHCoeffs, tol=DEFAULT_TOL):
-    return is_cptp(co, tol) and is_ccp(co, tol)
+def is_ppt(co: HHCoeffs):
+    return is_cptp(co) and is_ccp(co)
 
 
-def on_boundary(co: HHCoeffs, tol=DEFAULT_TOL):
+def on_boundary(co: HHCoeffs):
     """True if any CP/CCP constraint reads "boundary"."""
     s = co.scale()
-    return any(classify(m, s, tol) == "boundary"
+    return any(classify(m, s) == "boundary"
                for m in cptp_margins(co) + cptp_margins(co.swapped()))
 
 
@@ -189,7 +189,7 @@ def wh_vertices(d):
                  for b, c in extremals(d).wh_vertices)
 
 
-def decide(co: HHCoeffs, tol=DEFAULT_TOL) -> Certificate:
+def decide(co: HHCoeffs) -> Certificate:
     """Full certificate for a channel psi_{a,b,c} (d >= 3, CPTP required).
 
     EB equals PPT on this family, and the verdict is ppt's; the 8 extremal
@@ -199,22 +199,23 @@ def decide(co: HHCoeffs, tol=DEFAULT_TOL) -> Certificate:
     """
     if co.d < 3:
         raise UnsupportedDimensionError("decide requires d >= 3")
-    if not is_cptp(co, tol):
+    if not is_cptp(co):
         raise ContractError(
             "decide certifies channels; input is not CPTP "
             "(see is_cptp/is_positive for region membership)")
-    cert = Certificate("hh", co.d, {"a": co.a, "b": co.b, "c": co.c},
-                       tolerances=asdict(tol))
+    cert = Certificate("hh", co.d, {"a": co.a, "b": co.b, "c": co.c})
     s = co.scale()
-    pos = min(positivity_margins(co).values())
-    tag = is_positive(co, tol)[1]
-    cert.add_check("positive", classify(pos, s, tol), margin=pos,
+    margins = positivity_margins(co)
+    pos = min(margins.values())
+    tag = next((t for t, m in margins.items() if classify(m, s) == "false"),
+               None)  # is_positive's tag
+    cert.add_check("positive", classify(pos, s), margin=pos,
                    **({} if tag is None else {"tag": tag}))
     cp = min(cptp_margins(co))
     ccp = min(cptp_margins(co.swapped()))
     ppt = min(cp, ccp)
     for name, m in (("cp", cp), ("ccp", ccp), ("ppt", ppt), ("eb", ppt)):
-        cert.add_check(name, classify(m, s, tol), margin=m)
+        cert.add_check(name, classify(m, s), margin=m)
 
     rho = build_psi(co).choi(normalized=True)
     ext = extremals(co.d)
@@ -228,6 +229,6 @@ def decide(co: HHCoeffs, tol=DEFAULT_TOL) -> Certificate:
                  "min_eig": lo})
     lo = min(w["min_eig"] for w in cert.witnesses)
     cert.add_check("separable_choi",
-                   classify(lo, float(np.linalg.norm(rho)), tol), min_eig=lo)
+                   classify(lo, float(np.linalg.norm(rho))), min_eig=lo)
     cert.verdict = "EB" if cert.check_true("ppt") else "NOT-EB"
     return cert

@@ -3,21 +3,23 @@ checks, the size cap on dense builds, and the boundary rule.
 
 The boundary rule decides every signed margin, closed form or dense: a
 margin at scale s (the largest |coefficient| in the family's independent
-coordinates, or ||x||_F for a dense x) has the band psd_tol times s, no
+coordinates, or ||x||_F for a dense x) has the band PSD_TOL times s, no
 floor, and reads "false" below -band, "boundary" within it and "true"
 above it; "boundary" counts as passing.  A margin homogeneous of degree 1,
 as an entry or eigenvalue is, gets the same verdict for c and 2^j c.
+Equalities hold to EQ_TOL relative; certificates record both constants.
 """
 
 import cmath
 import numbers
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 MAX_DIM = 4096  # largest n of a dense n x n build; d^3 = 4096 at d = 16
 MAX_INT = 2**53  # largest integer input: the largest exact float integer
+PSD_TOL = 1e-9  # half-width of the boundary band per unit of scale
+EQ_TOL = 1e-10  # relative bound of the trace and Hermiticity equalities
 
 
 class CovwitError(Exception):
@@ -76,25 +78,6 @@ def integer(v, what, least, error=DimensionError):
     return i
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used by every PSD and equality check, stored
-    as float by the coefficient rule."""
-
-    psd_tol: float = 1e-9
-    eq_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("psd_tol", "eq_tol"):
-            t = finite_number(getattr(self, name), name)
-            if t <= 0:
-                raise ContractError(f"{name} must be > 0, got {t!r}")
-            object.__setattr__(self, name, t)
-
-
-DEFAULT_TOL = Tolerances()
-
-
 def check_dense(n):
     """Refuse a dense n x n build above MAX_DIM before it allocates."""
     if n > MAX_DIM:
@@ -150,28 +133,23 @@ def max_abs(x):
     return float(np.abs(x).max()) if x.size else 0.0
 
 
-def check_hermitian(x, tol=DEFAULT_TOL):
-    """Raise ContractError unless |x - x*| <= eq_tol |x|, return (x+x*)/2."""
+def check_hermitian(x):
+    """Raise ContractError unless |x - x*| <= EQ_TOL |x|, return (x+x*)/2."""
     x = asmatrix(x)
     if x.shape[0] != x.shape[1]:
         raise DimensionError("Hermitian check requires a square matrix")
     dev = max_abs(x - x.conj().T)
-    if dev > tol.eq_tol * max_abs(x):
+    if dev > EQ_TOL * max_abs(x):
         raise ContractError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return (x + x.conj().T) / 2.0
 
 
-def band(scale, tol=DEFAULT_TOL):
-    """Half-width of the boundary band: psd_tol * scale."""
-    return tol.psd_tol * scale
-
-
-def classify(margin, scale, tol=DEFAULT_TOL):
+def classify(margin, scale):
     """The verdict "false", "boundary" or "true" of a margin; a margin or
     scale that is not finite comes from an overflow: NumericalError."""
     if not (cmath.isfinite(margin) and cmath.isfinite(scale)):
         raise NumericalError(f"margin {margin} at scale {scale} is not finite")
-    b = band(scale, tol)
+    b = PSD_TOL * scale
     if margin < -b:
         return "false"
     return "boundary" if margin <= b else "true"
@@ -185,8 +163,8 @@ def least(values):
     return min(values)
 
 
-def is_psd(x, tol=DEFAULT_TOL):
+def is_psd(x):
     """PSD verdict and evidence: (min eig passes at scale ||x||_F, min eig)."""
     x = asmatrix(x)
-    lo = float(np.linalg.eigvalsh(check_hermitian(x, tol))[0])
-    return classify(lo, float(np.linalg.norm(x)), tol) != "false", lo
+    lo = float(np.linalg.eigvalsh(check_hermitian(x))[0])
+    return classify(lo, float(np.linalg.norm(x))) != "false", lo

@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from .choi import LinMap
-from .linalg import (DEFAULT_TOL, ContractError, classify, integer, is_psd,
+from .linalg import (EQ_TOL, ContractError, classify, integer, is_psd,
                      partial_transpose)
 from .twirl import BASES, cond_expect, family_dim, oo_basis
 
@@ -48,7 +48,7 @@ def random_pure_state(rng, d):
     return v / np.linalg.norm(v)
 
 
-def brute_positive_orbit(m: LinMap, tol=DEFAULT_TOL):
+def brute_positive_orbit(m: LinMap):
     """Positivity via a single orbit representative: valid only for families
     whose symmetry group is transitive on pure input states."""
     if m.family not in ("werner3-L", "quo-M"):
@@ -57,10 +57,10 @@ def brute_positive_orbit(m: LinMap, tol=DEFAULT_TOL):
             f"got {m.family!r}")
     e11 = np.zeros((m.d_in, m.d_in), dtype=complex)
     e11[0, 0] = 1.0
-    return is_psd(m(e11), tol)
+    return is_psd(m(e11))
 
 
-def brute_positive_sample(m: LinMap, n=1000, seed=0, tol=DEFAULT_TOL):
+def brute_positive_sample(m: LinMap, n=1000, seed=0):
     """One-sided sampling oracle: min output eigenvalue over Haar-random pure
     states, at the scale ||output||_F as in is_psd.  False is conclusive."""
     rng = rng_from(seed)
@@ -71,7 +71,7 @@ def brute_positive_sample(m: LinMap, n=1000, seed=0, tol=DEFAULT_TOL):
         lo = float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
         if lo < worst:
             worst, scale = lo, float(np.linalg.norm(out))
-    return classify(worst, scale, tol) != "false", worst
+    return classify(worst, scale) != "false", worst
 
 
 def _batched_conjugation_average(x, gens):
@@ -120,7 +120,7 @@ def haar_twirl_mc(x, family, n=10000, seed=0):
     return _batched_conjugation_average(x, gens())
 
 
-def wh_w2_identity(d, tol=DEFAULT_TOL):
+def wh_w2_identity(d):
     """Two separability identities behind PPT=EB on hh's
     orthogonal-covariant subfamily, read off the dense channels:
     (i) the Choi of the w2 vertex channel is the O(x)O twirl of a product
@@ -138,9 +138,9 @@ def wh_w2_identity(d, tol=DEFAULT_TOL):
     tw = cond_expect(np.outer(psi, psi.conj()), oo_basis(d))
     psi1 = hh.build_psi(w[0])
     a1 = np.stack([psi1(np.diag(e)).diagonal().real for e in np.eye(d)], 1)
-    return (np.abs(c2 - tw).max() <= 10 * tol.eq_tol
+    return (np.abs(c2 - tw).max() <= 10 * EQ_TOL
             and np.abs(a1 - (1 + 2 * np.eye(d)) / (d + 2)).max()
-            <= tol.eq_tol)
+            <= EQ_TOL)
 
 
 def random_hermitian(rng, n, scale=1.0):

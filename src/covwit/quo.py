@@ -14,7 +14,6 @@ in, through reduce_d2.
 from . import s3
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import DEFAULT_TOL
 from .twirl import build_T
 
 # perfbench's tracer times these names by family; the s3 functions answer.
@@ -104,7 +103,7 @@ def _witness_rows(d, grid):
             for k, t in s3.rows(s3.catalogue(QuoCoeffs, d, grid))]
 
 
-def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
+def decide_quo(c: QuoCoeffs, grid=s3.GRID) -> Certificate:
     """Separability certificate across A-BC: separable iff A-BC PPT.
 
     The closed-form PPT verdict is decisive; the least eigenvalue of the
@@ -112,10 +111,10 @@ def decide_quo(c: QuoCoeffs, grid=s3.GRID, tol=DEFAULT_TOL) -> Certificate:
     witnesses of every type, streamed in one pass, are recorded as
     confirming evidence.
     """
-    cert, ppt = s3.open_certificate("quo", c, tol)
+    cert, ppt = s3.open_certificate("quo", c)
     cert.add_check("separable_A-BC", ppt["A-BC"],
                    margin=cert.checks["ppt_A-BC"]["evidence"]["margin"])
     rows = s3.catalogue(QuoCoeffs, c.d, grid)
-    cert.witnesses.append(s3.witness_sweep(cert, c, rows, tol)[1])
+    cert.witnesses.append(s3.witness_sweep(cert, c, rows)[1])
     cert.verdict = "ENTANGLED" if ppt["A-BC"] == "false" else "SEPARABLE"
     return cert

@@ -19,11 +19,11 @@ B and C in full (repr), so it names the row realize makes.
 import cmath
 import math
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 
 from .certificate import Certificate
-from .linalg import (DEFAULT_TOL, ContractError, NumericalError, check_dense,
+from .linalg import (EQ_TOL, ContractError, NumericalError, check_dense,
                      classify, finite_number, integer, least)
 
 TP_TOL = 1e-12  # extremal's AB >= C^2 slack, read at A + B = 1 only
@@ -196,38 +196,38 @@ def block(c: Coeffs, cut) -> Table2Block:
     return G_iso(c if f == "A" else relabel(c, "12" if f == "B" else "13"))
 
 
-def classify_cut(c: Coeffs, cut, tol=DEFAULT_TOL):
+def classify_cut(c: Coeffs, cut):
     """(verdict, least eigenvalue) of X^{T_cut} by the boundary rule at
     c's scale."""
     try:
         m, scale = block(c, cut).min_margin(), c.scale6(c.d, c.as_tuple6())
     except OverflowError as exc:
         raise NumericalError(f"the block form of cut {cut!r} overflows: {exc}")
-    return classify(m, scale, tol), m
+    return classify(m, scale), m
 
 
-def is_positive(c: Coeffs, tol=DEFAULT_TOL):
+def is_positive(c: Coeffs):
     """Positivity of the map, by c's positivity margins."""
-    return positive6(type(c), c.d, c.as_tuple6(), tol)
+    return positive6(type(c), c.d, c.as_tuple6())
 
 
-def is_cp(c: Coeffs, tol=DEFAULT_TOL):
+def is_cp(c: Coeffs):
     """CP of the map / PSD-ness of its invariant matrix."""
-    return classify_cut(c, "", tol)[0] != "false"
+    return classify_cut(c, "")[0] != "false"
 
 
-def is_ccp(c: Coeffs, tol=DEFAULT_TOL):
+def is_ccp(c: Coeffs):
     """CCP of the map / PSD-ness of the A-partial-transposed matrix."""
-    return classify_cut(c, "A", tol)[0] != "false"
+    return classify_cut(c, "A")[0] != "false"
 
 
-def ppt(c: Coeffs, tol=DEFAULT_TOL):
+def ppt(c: Coeffs):
     """Partial-transpose verdicts of the state, one per bipartition."""
-    return {part: classify_cut(c, part[0], tol)[0] != "false"
+    return {part: classify_cut(c, part[0])[0] != "false"
             for part in CUTS}
 
 
-def positive6(cls, d, t, tol=DEFAULT_TOL):
+def positive6(cls, d, t):
     """classify of cls's least positivity margin lo on a tuple6 at
     max(scale6, max |margin|) = max(scale6, max m, -lo), L(e_11)'s own scale
     (its block entries are the margins); NaN or inf: NumericalError."""
@@ -236,7 +236,7 @@ def positive6(cls, d, t, tol=DEFAULT_TOL):
     except OverflowError as exc:
         raise NumericalError(f"the positivity margins overflow: {exc}")
     lo = least(m)
-    return classify(lo, max(scale, max(m), -lo), tol) != "false"
+    return classify(lo, max(scale, max(m), -lo)) != "false"
 
 
 def normalized(cls, type_name, A, B, C, rt, d):
@@ -301,30 +301,30 @@ def invariant_matrix(c: Coeffs, build_op):
     return out
 
 
-def state_check(c: Coeffs, tol=DEFAULT_TOL):
+def state_check(c: Coeffs):
     """Raise unless the coefficients describe a quantum state.  The rounding
-    error of the trace is bounded by eq_tol times the sum S >= |trace| of its
+    error of the trace is bounded by EQ_TOL times the sum S >= |trace| of its
     terms' magnitudes; an infinite S means an overflow and is refused."""
     d, (ae, a12, a13, a23, r, _) = c.d, c.as_tuple6()
     tr = c.trace()
-    bound = tol.eq_tol * (d**3 * abs(ae) + 2 * d * abs(r)
-                          + d**2 * (abs(a12) + abs(a13) + abs(a23)))
+    bound = EQ_TOL * (d**3 * abs(ae) + 2 * d * abs(r)
+                      + d**2 * (abs(a12) + abs(a13) + abs(a23)))
     if not abs(tr - 1.0) <= bound < math.inf:
         raise ContractError(f"trace {tr} != 1: not a normalized state")
-    if not is_cp(c, tol):
+    if not is_cp(c):
         raise ContractError("coefficient matrix is not PSD: not a state")
 
 
-def open_certificate(family, c: Coeffs, tol=DEFAULT_TOL):
+def open_certificate(family, c: Coeffs):
     """The decision prologue: state_check, then c's certificate with one
     ppt_<part> check per bipartition; returns (cert, {part: verdict})."""
-    state_check(c, tol)
+    state_check(c)
     cert = Certificate(family, c.d, {
         "a_e": c.a_e, "a_12": c.a_12, "a_13": c.a_13, "a_23": c.a_23,
-        "re_123": c.r, "im_123": c.s}, tolerances=asdict(tol))
+        "re_123": c.r, "im_123": c.s})
     ppt = {}
     for part in CUTS:
-        ppt[part], m = classify_cut(c, part[0], tol)
+        ppt[part], m = classify_cut(c, part[0])
         cert.add_check(f"ppt_{part}", ppt[part], margin=m)
     return cert, ppt
 
@@ -339,13 +339,19 @@ def linspace(lo, hi, n):
 _GRIDS = {}  # grid -> grid_table(grid)
 
 
+def grid_size(grid, what):
+    """The grid rule: an int from 2 to MAX_GRID, else ContractError."""
+    grid = integer(grid, what, 2, ContractError)
+    if grid > MAX_GRID:
+        raise ContractError(f"{what} must be <= {MAX_GRID}, got {grid}")
+    return grid
+
+
 def grid_table(grid):
     """The points of the compact (A-B, C) grid at A + B = 1, as one
     array('d') of (A, B, C, sqrt(AB - C^2)) per point, built once per grid
     from linspace values (2 MB at MAX_GRID)."""
-    grid = integer(grid, "witness grid", 2, ContractError)
-    if grid > MAX_GRID:
-        raise ContractError(f"witness grid must be <= {MAX_GRID}, got {grid}")
+    grid = grid_size(grid, "witness grid")
     table = _GRIDS.get(grid)
     if table is None:
         table = array("d", [0.0]) * (4 * grid * grid)
@@ -544,7 +550,7 @@ def witness_minima(c: Coeffs, items):
         yield from conj
 
 
-def witness_sweep(cert, c: Coeffs, items, tol=DEFAULT_TOL):
+def witness_sweep(cert, c: Coeffs, items):
     """One pass of witness_minima over the items, one or more rows; a NaN
     minimum is a NumericalError.  Records the witness_sweep check at
     ||rho||_F and returns the first row, the first of least minimum (as
@@ -558,7 +564,7 @@ def witness_sweep(cert, c: Coeffs, items, tol=DEFAULT_TOL):
                 raise NumericalError("a witness minimum is NaN: overflow")
             worst, lo = pair, pair[1]
     vg = sum(k * t for k, t in zip(gram6(c), c.as_tuple6()))
-    verdict = classify(lo, math.sqrt(max(vg, 0.0)), tol)
+    verdict = classify(lo, math.sqrt(max(vg, 0.0)))
     cert.add_check("witness_sweep", verdict, count=n, min_eig=lo)
     out = [{"id": witness_id(k), "min_eig": m} for k, m in (first, worst)]
     return out[0], out[0] if worst is first else out[1], verdict != "false"

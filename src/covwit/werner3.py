@@ -25,7 +25,7 @@ from itertools import chain
 from . import s3
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import DEFAULT_TOL, ContractError, finite_number, integer
+from .linalg import ContractError, finite_number, integer
 from .twirl import build_V
 
 # perfbench's tracer times these names by family; the s3 functions answer.
@@ -143,8 +143,7 @@ def _witness_coeff_grid(d, grid):
     return [(s3.witness_id(k), t) for k, t in s3.rows(witness_rows(d, grid))]
 
 
-def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
-                           tol=DEFAULT_TOL) -> Certificate:
+def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID) -> Certificate:
     """Witness sweep over extremal covariant positive maps.
 
     The rows are L0, Type I, Type II over the grid and the exact Type III
@@ -157,9 +156,9 @@ def detect_entanglement_w3(c: S3Coeffs, grid=s3.GRID,
     NPT-ENTANGLED.  The certificate names L0 and the first worse row, if
     there is one.
     """
-    cert, ppt = s3.open_certificate("werner3", c, tol)
+    cert, ppt = s3.open_certificate("werner3", c)
     rows = chain(witness_rows(c.d, grid), s3.exact_rows(c))
-    first, worst, ok = s3.witness_sweep(cert, c, rows, tol)
+    first, worst, ok = s3.witness_sweep(cert, c, rows)
     cert.witnesses += [first] if worst is first else [first, worst]
     if not ok:
         cert.verdict = "ENTANGLED"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from covwit import hh, quo, s3, werner3
 from covwit.certificate import VERDICTS, Certificate
 from covwit.cli import main
-from covwit.linalg import (ContractError, NumericalError, Tolerances, band,
+from covwit.linalg import (PSD_TOL, ContractError, NumericalError,
                            check_hermitian, classify, partial_transpose)
 
 # The d = 2 relation T_e = T_12 + T_13 + T_23 - T_123 - T_132 as a direction
@@ -22,15 +22,15 @@ D2_NULL = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 0.0])
 
 
 def test_classify_band_and_degree():
-    """band = psd_tol * scale, below scale 1 as well: no floor."""
-    tol = Tolerances(psd_tol=0.125)
-    assert band(0.5, tol) == 0.0625 and band(4.0, tol) == 0.5
-    assert classify(-0.2, 0.5, tol) == "false"
-    assert classify(-0.125, 0.5, tol) == "false"
-    assert classify(-0.0625, 0.5, tol) == "boundary"
-    assert classify(0.0625, 0.5, tol) == "boundary"
-    assert classify(0.125, 0.5, tol) == "true"
-    assert classify(-1.0, 4.0, tol) == "false"
+    """band = PSD_TOL * scale, below scale 1 as well: no floor."""
+    for scale in (2.0**-20, 0.5, 4.0):
+        b = PSD_TOL * scale
+        assert classify(-b, scale) == classify(b, scale) == "boundary"
+        assert classify(-2 * b, scale) == classify(-3 * b, scale) == "false"
+        assert classify(2 * b, scale) == "true"
+    assert classify(-1e-10, 2.0**-20) == "false"  # no floor below scale 1
+    assert classify(-2e-9, 4.0) == "boundary"
+    assert classify(-1.0, 4.0) == "false"
     assert classify(0.0, 0.0) == "boundary"
 
 

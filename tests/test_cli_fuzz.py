@@ -103,16 +103,14 @@ def map_obj(draw):
 
 @settings(max_examples=150)
 @given(family=st.sampled_from(["hh", "werner3", "quo"]), d=int_token,
-       values=st.lists(token, min_size=3, max_size=7), grid=int_token,
-       tol=st.one_of(st.none(), st.tuples(st.sampled_from(
-           ["--tol-psd", "--tol-eq"]), token)))
-def test_certify_argv(family, d, values, grid, tol):
+       values=st.lists(token, min_size=3, max_size=7), grid=int_token)
+def test_certify_argv(family, d, values, grid):
     argv = ["certify", family, "--d", d]
     if family == "hh":
         argv += ["--a", values[0], "--b", values[1], "--c", values[2]]
     else:
         argv += ["--coeffs", ",".join(values), "--grid", grid]
-    check_run(argv + (list(tol) if tol else []))
+    check_run(argv)
 
 
 @settings(max_examples=100)

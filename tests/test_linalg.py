@@ -7,9 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covwit import hh, werner3
-from covwit.linalg import (DEFAULT_TOL, MAX_DIM, ContractError,
-                           DimensionError, Tolerances, check_dense,
+from covwit import hh, quo, werner3
+from covwit.linalg import (MAX_DIM, ContractError, DimensionError, check_dense,
                            check_hermitian, flip, identity, integer, is_psd,
                            partial_transpose)
 from covwit.twirl import build_V
@@ -20,37 +19,14 @@ def random_hermitian(rng, n):
     return (z + z.conj().T) / 2
 
 
-def test_tolerances_validation():
-    with pytest.raises(ContractError):
-        Tolerances(psd_tol=0.0)
-    with pytest.raises(ContractError):
-        Tolerances(eq_tol=-1e-9)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ContractError):
-            Tolerances(psd_tol=bad)
-        with pytest.raises(ContractError):
-            Tolerances(eq_tol=bad)
-    t = Tolerances(psd_tol=1e-6)
-    assert t.psd_tol == 1e-6 and t.eq_tol == DEFAULT_TOL.eq_tol
-
-
-@pytest.mark.parametrize("bad", [True, "x", None, 1e-9j],
-                         ids=["bool", "str", "None", "imaginary"])
-def test_tolerances_must_be_numbers(bad):
-    """A bool is not a band of 1.0: psd_tol=True would let the identity
-    channel certify EB."""
-    for name in ("psd_tol", "eq_tol"):
-        with pytest.raises(ContractError):
-            Tolerances(**{name: bad})
-
-
-def test_tolerances_are_stored_as_float():
-    t = Tolerances(psd_tol=np.float32(1e-9), eq_tol=Fraction(1, 10**10))
-    assert type(t.psd_tol) is float and type(t.eq_tol) is float
-    assert Tolerances(psd_tol=1).psd_tol == 1.0
-    cert = json.loads(hh.decide(hh.HHCoeffs(3, 1, 0.25, 0), tol=t).to_json())
-    assert cert["tolerances"] == {"psd_tol": float(np.float32(1e-9)),
-                                  "eq_tol": 1e-10}
+def test_certificates_record_the_boundary_constants():
+    """hh, werner3 and quo certificates record PSD_TOL and EQ_TOL."""
+    for cert in (hh.decide(hh.HHCoeffs(3, 1, 0.25, 0)),
+                 werner3.detect_entanglement_w3(werner3.rho_t_coeffs(3, 1.0)),
+                 quo.decide_quo(quo.QuoCoeffs.from_tuple6(
+                     3, [1 / 27, 0, 0, 0, 0, 0]))):
+        assert json.loads(cert.to_json())["tolerances"] == {
+            "eq_tol": 1e-10, "psd_tol": 1e-09}
 
 
 @pytest.mark.parametrize("v", [3, np.int64(3), np.int32(3), np.uint8(3)],

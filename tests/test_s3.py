@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 from covwit import hh, linalg, quo, s3, serialize, twirl, werner3
 from covwit.certificate import Certificate
 from covwit.choi import LinMap
-from covwit.linalg import (DEFAULT_TOL, ContractError, DimensionError,
-                           partial_transpose)
+from covwit.linalg import ContractError, DimensionError, partial_transpose
 from covwit.s3 import PERMS
 
 # family -> (module, coefficient class, witness basis maps, catalogue)
@@ -71,7 +70,7 @@ def test_witness_sweep_matches_dense_images(case, v, state, shrink, extra):
     for w, got, ref in zip(ws, mins, want):
         assert abs(got - ref) <= 1e-12 * max(1.0, norm * np.linalg.norm(w))
     cert = Certificate(family, d, {})
-    first, worst, _ = s3.witness_sweep(cert, c, iter(rows), DEFAULT_TOL)
+    first, worst, _ = s3.witness_sweep(cert, c, iter(rows))
     evidence = cert.checks["witness_sweep"]["evidence"]
     assert evidence["count"] == len(rows)
     assert first == {"id": rows[0][0], "min_eig": mins[0]}
@@ -80,7 +79,7 @@ def test_witness_sweep_matches_dense_images(case, v, state, shrink, extra):
 
 def _sweep(c, rows):
     cert = Certificate(type(c).__name__, c.d, {})
-    return s3.witness_sweep(cert, c, rows, DEFAULT_TOL)
+    return s3.witness_sweep(cert, c, rows)
 
 
 def test_witness_sweep_reports_the_first_of_tied_rows():
