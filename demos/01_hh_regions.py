@@ -9,7 +9,7 @@ double-checked with one.
 
 import numpy as np
 
-from covwit import hh
+from covwit import hh, oracle
 
 d = 3
 print(f"=== psi_(a,b,c) on M_{d} ===\n")
@@ -33,7 +33,7 @@ print(f"  example {co.a, co.b, co.c}: positive={pos}, "
 print("\nOutside a facet, the designated vector certifies non-positivity:")
 bad = hh.HHCoeffs(d, 0.0, -0.6, 0.0)
 ok, tag = hh.is_positive(bad)
-v = hh.counterexample_vector(tag, d)
+v = oracle.counterexample_vector(tag, d)
 out = hh.build_psi(bad)(np.outer(v, v.conj()))
 print(f"  (0, -0.6, 0): violated constraint #{tag}, witness vector gives "
       f"min eig {np.linalg.eigvalsh(out)[0]:+.4f}")

@@ -3,30 +3,39 @@
 Subcommands: certify {hh|werner3|quo}, state rho-t, witness apply, twirl,
 regions hh, sweep hh, selftest.  Exit codes: 0 success, 1 invalid input,
 2 numerical failure.
+
+Each command imports the family and helper modules it uses when it runs, so
+`certify hh` loads no S3 module and `certify werner3` loads no hh or quo.
 """
 
 import argparse
 import contextlib
+import re
 import sys
-from fractions import Fraction
 
+# numpy stays at the top: main's np.errstate wraps every command, and
+# perfbench's import_times reads numpy's import time from `import covwit.cli`.
 import numpy as np
 
-from . import __version__, hh, quo, s3, serialize, twirl, werner3
-from .choi import LinMap
+from . import __version__
 from .linalg import (ContractError, CovwitError, DimensionError,
                      NumericalError, integer)
 
+NUMBER = re.compile(r"[+-]?([0-9]+/[0-9]+|([0-9]+\.?[0-9]*|\.[0-9]+)"
+                    r"([eE][+-]?[0-9]+)?)")
+
 
 def parse_number(text):
-    """Decimal or exact rational (p/q) input, reduced before conversion."""
+    """ASCII decimal or exact rational p/q, rounded once to a float (int
+    true division is correctly rounded)."""
     text = text.strip()
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ContractError(f"cannot parse number {text!r}") from exc
+        if NUMBER.fullmatch(text):
+            p, _, q = text.partition("/")
+            return int(p) / int(q) if q else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass  # ValueError: more digits than int() converts
+    raise ContractError(f"cannot parse number {text!r}")
 
 
 def parse_coeffs(text):
@@ -43,19 +52,23 @@ def emit_certificate(cert, args):
 
 def cmd_certify(args):
     if args.family == "hh":
+        from . import hh
         co = hh.HHCoeffs(args.d, *map(parse_number, (args.a, args.b, args.c)))
         cert = hh.decide(co)
     else:
-        cls, decide = ((werner3.S3Coeffs, werner3.detect_entanglement_w3)
-                       if args.family == "werner3"
-                       else (quo.QuoCoeffs, quo.decide_quo))
+        if args.family == "werner3":
+            from .werner3 import S3Coeffs as cls
+            from .werner3 import detect_entanglement_w3 as decide
+        else:
+            from .quo import QuoCoeffs as cls, decide_quo as decide
         c = cls.from_tuple6(args.d, parse_coeffs(args.coeffs))
-        cert = decide(c, grid=args.grid)
+        cert = decide(c, **({} if args.grid is None else {"grid": args.grid}))
     emit_certificate(cert, args)
     return 0
 
 
 def cmd_state(args):
+    from . import serialize, werner3
     c = werner3.rho_t_coeffs(args.d, parse_number(args.t))
     if args.out:
         rho = werner3.invariant_matrix(c)
@@ -70,12 +83,13 @@ def cmd_state(args):
 
 
 def map_from_file(path):
+    from . import choi, hh, quo, serialize, werner3
     obj = serialize.load_json(path)
     if not isinstance(obj, dict):
         raise ContractError(f"map JSON in {path} is not an object")
     if "choi_unnormalized" in obj:
         c = serialize.matrix_from_obj(obj["choi_unnormalized"])
-        return LinMap(obj.get("d_in"), obj.get("d_out"), c)
+        return choi.LinMap(obj.get("d_in"), obj.get("d_out"), c)
     fam = obj.get("family")
     if fam not in ("hh", "werner3-L", "quo-M"):
         raise ContractError(f"unrecognized map JSON in {path}")
@@ -105,6 +119,7 @@ def finite(x, what):
 
 
 def cmd_witness(args):
+    from . import serialize
     w = map_from_file(args.witness)
     rho = serialize.read_matrix(args.state)
     if args.adjoint:
@@ -125,6 +140,7 @@ def cmd_witness(args):
 
 
 def cmd_twirl(args):
+    from . import serialize, twirl
     x = serialize.read_matrix(args.matrix_file)
     basis = twirl.BASES[args.family](twirl.family_dim(args.family,
                                                       x.shape[0]))
@@ -140,6 +156,7 @@ def cmd_twirl(args):
 
 
 def cmd_regions(args):
+    from . import hh
     ext = hh.extremals(args.d)
     if args.emit == "vertices":
         print("# positive-extremal vertices (a, b, c)")
@@ -165,6 +182,7 @@ def cmd_regions(args):
 
 
 def cmd_sweep(args):
+    from . import hh, s3
     d = integer(args.d, "--d", 3, ContractError)
     n = s3.grid_size(args.grid, "--grid")
     with (open(args.out, "w", newline="") if args.out
@@ -186,7 +204,6 @@ def cmd_sweep(args):
 
 def cmd_selftest(args):
     from . import oracle  # only selftest pays for the oracles' import
-
     ok, _ = oracle.selftest(seed=args.seed, level=args.level)
     return 0 if ok else 2
 
@@ -219,7 +236,7 @@ def build_parser():
         cf.add_argument("--d", type=int, required=True)
         cf.add_argument("--coeffs", required=True,
                         help="ae,a12,a13,a23,re123,im123")
-        cf.add_argument("--grid", type=int, default=s3.GRID)
+        cf.add_argument("--grid", type=int)  # no default: s3.GRID applies
         cf.add_argument("--json", default=None)
 
     st = sub.add_parser("state", help="build a named state")

@@ -128,27 +128,6 @@ def on_boundary(co: HHCoeffs):
                for m in cptp_margins(co) + cptp_margins(co.swapped()))
 
 
-def counterexample_vector(tag, d):
-    """Unit vector whose image under psi acquires a negative eigenvalue when
-    the tagged positivity inequality fails."""
-    if tag not in CONSTRAINT_TAGS:
-        raise ContractError(f"invalid constraint tag {tag!r}")
-    d = integer(d, "d", 2)
-    v = np.zeros(d, dtype=complex)
-    if tag == 1:
-        v[0] = 1.0
-    elif tag == 2:
-        v[0] = v[1] = 1.0 / np.sqrt(2)
-    elif tag == 3:
-        v[0] = 1.0 / np.sqrt(2)
-        v[1] = 1j / np.sqrt(2)
-    elif tag == 4:
-        v[:] = 1.0 / np.sqrt(d)
-    else:  # tags 5 and 6 share the uniform phase vector
-        v[:] = np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
-    return v
-
-
 def extremals(d) -> HHExtremals:
     d = integer(d, "d", 2)
     e = d / (d - 1)

@@ -143,6 +143,29 @@ def wh_w2_identity(d):
             <= EQ_TOL)
 
 
+def counterexample_vector(tag, d):
+    """Unit vector whose image under hh's psi acquires a negative eigenvalue
+    when the tagged positivity inequality of `hh.positivity_margins` fails."""
+    from . import hh
+
+    if tag not in hh.CONSTRAINT_TAGS:
+        raise ContractError(f"invalid constraint tag {tag!r}")
+    d = integer(d, "d", 2)
+    v = np.zeros(d, dtype=complex)
+    if tag == 1:
+        v[0] = 1.0
+    elif tag == 2:
+        v[0] = v[1] = 1.0 / np.sqrt(2)
+    elif tag == 3:
+        v[0] = 1.0 / np.sqrt(2)
+        v[1] = 1j / np.sqrt(2)
+    elif tag == 4:
+        v[:] = 1.0 / np.sqrt(d)
+    else:  # tags 5 and 6 share the uniform phase vector
+        v[:] = np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+    return v
+
+
 def random_hermitian(rng, n, scale=1.0):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (z + z.conj().T) / 2

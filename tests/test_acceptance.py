@@ -107,7 +107,7 @@ def test_criterion_02_hh_positivity_facets(d):
 
     # facet counterexamples
     for t in hh.CONSTRAINT_TAGS:
-        v = hh.counterexample_vector(t, d)
+        v = oracle.counterexample_vector(t, d)
         x = np.outer(v, v.conj())
         xt, xd, tr = x.T, np.diag(np.diag(x)), 1.0
         pts = np.array(outside[t])

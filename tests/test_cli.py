@@ -23,6 +23,12 @@ def test_parse_number_rationals_and_decimals():
         parse_number("abc")
     with pytest.raises(ContractError):
         parse_number("1/0")
+    for text in ("1_0", "\uff11\uff12", "\u0661\u0662", "1_0/3", "inf",
+                 "nan"):  # ASCII decimals and p/q only
+        with pytest.raises(ContractError, match="cannot parse number"):
+            parse_number(text)
+    assert parse_number(" +1.5e-3 ") == 1.5e-3
+    assert parse_number(".5") == parse_number("5.") / 10 == 0.5
 
 
 def test_parse_coeffs():
@@ -62,6 +68,19 @@ def test_library_and_cli_share_the_witness_grid_default(capsys):
     assert run(["certify", "werner3", "--d", "3", "--coeffs", text]) == 0
     assert capsys.readouterr().out.endswith(f"verdict: {verdict}\n")
     assert verdict == "ENTANGLED"
+
+
+@pytest.mark.parametrize("family", ["werner3", "quo"])
+def test_certify_without_grid_is_grid_16(family, tmp_path):
+    """--grid has no parser default: the decision function's own default
+    applies, and the certificate is the one --grid 16 writes."""
+    argv = ["certify", family, "--d", "3", "--coeffs", "1/27,0,0,0,0,0"]
+    paths = [tmp_path / f"{g}.json" for g in ("none", "16", "8")]
+    assert run(argv + ["--json", str(paths[0])]) == 0
+    for path, grid in zip(paths[1:], ("16", "8")):
+        assert run(argv + ["--grid", grid, "--json", str(path)]) == 0
+    none, g16, g8 = (p.read_bytes() for p in paths)
+    assert none == g16 != g8
 
 
 def test_certify_werner3_ppt_entangled_state_at_every_grid(tmp_path):
@@ -224,8 +243,9 @@ def test_sweep_csv_shape(tmp_path):
 
 
 def test_exit_code_invalid_input(capsys):
-    assert run(["certify", "hh", "--d", "3", "--a", "x", "--b", "0",
-                "--c", "0"]) == 1
+    for text in ("x", "1_0", "\uff11\uff12", "\u0661\u0662"):
+        assert run(["certify", "hh", "--d", "3", "--a", text, "--b", "0",
+                    "--c", "0"]) == 1
     assert run(["certify", "werner3", "--d", "3", "--coeffs", "1,2,3"]) == 1
     assert run(["certify", "werner3", "--d", "3", "--coeffs",
                 "1,2,3,4,5,6,7"]) == 1

@@ -1,10 +1,11 @@
 """Every module under src/covwit, tests and demos uses each name it
-imports, the closed-form modules import no numpy, the CLI leaves the
-oracles to selftest, and no module-level dict grows with the states a
+imports, the closed-form modules import no numpy, the CLI loads only the
+modules a command uses, and no module-level dict grows with the states a
 decision sees."""
 
 import ast
 import importlib
+import json
 import math
 import os
 import pkgutil
@@ -74,6 +75,36 @@ def test_cli_imports_oracle_only_for_selftest():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+CERTIFY = {"hh": ["--a", "1", "--b", "1/3", "--c", "1/3"],
+           "werner3": ["--coeffs", "1/27,0,0,0,0,0"],
+           "quo": ["--coeffs", "1/27,0,0,0,0,0"]}
+LOADED = {None: {"cli", "linalg"},  # a bare `import covwit.cli`
+          "hh": {"cli", "linalg", "certificate", "choi", "hh"},
+          "werner3": {"cli", "linalg", "certificate", "choi", "s3", "twirl",
+                      "werner3"},
+          "quo": {"cli", "linalg", "certificate", "choi", "s3", "twirl",
+                  "quo"}}
+
+
+@pytest.mark.parametrize("family", list(LOADED))
+def test_cli_loads_only_the_modules_a_command_uses(family):
+    """A cold `certify F` imports F's modules and no other family's."""
+    argv = ["certify", family, "--d", "3"] + CERTIFY[family] if family else []
+    code = ("import json, sys, covwit.cli\n"
+            f"if {argv!r}: covwit.cli.main({argv!r})\n"
+            "print(json.dumps([sorted(sys.modules), 'numpy' in sys.modules]),"
+            " file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    err = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    mods, numpy = json.loads(err)
+    assert {m[7:] for m in mods if m.startswith("covwit.")} == LOADED[family]
+    # numpy stays loaded: main's np.errstate needs it, and perfbench's
+    # import_times reads numpy's time from `import covwit.cli` until the
+    # harness changes (ROADMAP item 1).
+    assert numpy
 
 
 def module_dicts():

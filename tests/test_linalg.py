@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covwit import hh, quo, werner3
+from covwit import hh, oracle, quo, werner3
 from covwit.linalg import (MAX_DIM, ContractError, DimensionError, check_dense,
                            check_hermitian, flip, identity, integer, is_psd,
                            partial_transpose)
@@ -108,7 +108,7 @@ def test_partial_transpose_errors():
     lambda: partial_transpose(np.eye(4), [2.0, 2], 0),
     lambda: partial_transpose(np.eye(4), [2, 2], 1.0),
     lambda: partial_transpose(np.eye(4), [2, 2], True),
-    lambda: hh.counterexample_vector(4, 3.0),
+    lambda: oracle.counterexample_vector(4, 3.0),
 ], ids=["dims-float", "which-float", "which-bool", "counterexample-d-float"])
 def test_integer_arguments_are_contract_errors(call):
     """Dimensions and factor indices go through the integer rule: a float
