@@ -9,9 +9,9 @@ for both: every PSD question (positivity through L(e_11)'s blocks, the
 rest through the two block forms of the V_sigma algebra that block(c, cut)
 picks, a 2x2 block by its least eigenvalue, least2), the extremal maps,
 the witness catalogue (the decomposable types over one table of grid
-points per grid, each point's rows as conjugate pairs, checked once per
-(class, d, grid), a refused row a NumericalError), the exact row of each
-type that is neither, and the one-pass sweep, which shares five of a
+points per grid, each point's rows as conjugate pairs, checked where the
+first pass makes them, a refused row a NumericalError), the exact row of
+each type that is neither, and the one-pass sweep, which shares five of a
 pair's six products between its two rows.  A swept witness's id prints A,
 B and C in full (repr), so it names the row realize makes.
 """
@@ -26,7 +26,6 @@ from .certificate import Certificate
 from .linalg import (EQ_TOL, ContractError, NumericalError, check_dense,
                      classify, finite_number, integer, least)
 
-TP_TOL = 1e-12  # extremal's AB >= C^2 slack, read at A + B = 1 only
 GRID = 16  # default witness grid of both decision functions and --grid
 MAX_GRID = 256  # a catalogue holds about 4 grid^2 rows
 
@@ -257,8 +256,8 @@ def normalized(cls, type_name, A, B, C, rt, d):
 
 def realize(cls, type_name, A, B, C, sign, d):
     """normalized(...) at the root of that sign, and a ContractError unless
-    it passes cls's margins6.  The inputs are taken as checked: extremal
-    and exact_rows check them."""
+    it passes cls's margins6.  The inputs are taken as checked, as
+    extremal's, grid_table's and exact_minimum's are."""
     root = math.sqrt(max(A * B - C * C, 0.0))
     t = normalized(cls, type_name, A, B, C, root if sign >= 0 else -root, d)
     if not positive6(cls, d, t):
@@ -270,9 +269,9 @@ def realize(cls, type_name, A, B, C, sign, d):
 def extremal(cls, type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3):
     """The extremal trace-preserving positive covariant map of type_name,
     one of cls.types(d), as a cls.  The swept types need A, B >= 0, A + B
-    > 0 and AB >= C^2, the last checked within TP_TOL after rescaling to
-    A + B = 1, the catalogue's scale, so TP_TOL is read at one scale only;
-    sign = +1 or -1 picks the root sqrt(AB - C^2)."""
+    > 0 and AB >= C^2, read at A + B = 1 by the boundary rule at the
+    disk's squared radius 1/4 (|C| > 1 is refused before C^2 can
+    overflow); sign = +1 or -1 picks the root sqrt(AB - C^2)."""
     d = integer(d, "d", cls.MIN_D)
     fixed, swept = cls.types(d)
     if type_name not in fixed + swept:
@@ -285,7 +284,7 @@ def extremal(cls, type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3):
         if A < 0 or B < 0 or not 0 < n < math.inf:
             raise ContractError(f"need A,B >= 0, 0 < A + B < inf: {A, B}")
         A, B, C = A / n, B / n, C / n
-        if A * B < C * C - TP_TOL:
+        if abs(C) > 1 or classify(A * B - C * C, 0.25) == "false":
             raise ContractError("need A,B >= 0 and AB >= C^2")
     return cls.from_tuple6(d, realize(cls, type_name, A, B, C, sign, d))
 
@@ -376,10 +375,14 @@ def grid_points(grid):
         yield A, B, C, -1
 
 
-def check_row(cls, d, key, row):
-    """A NumericalError naming the row key unless positive6 passes row."""
-    if not positive6(cls, d, row):
-        raise NumericalError(f"the row {witness_id(key)} is not positive")
+def realize_row(cls, d, key):
+    """realize's row of a key, a fixed type's name or (type, A, B, C,
+    sign); a refusal is a NumericalError that names the row."""
+    point = (key, 0.0, 0.0, 0.0, +1) if isinstance(key, str) else key
+    try:
+        return realize(cls, *point, d)
+    except ContractError as exc:
+        raise NumericalError(f"the row {witness_id(key)} is refused: {exc}")
 
 
 _CHECKED = set()  # the (cls, d, grid) whose catalogue rows all passed
@@ -394,27 +397,26 @@ def catalogue(cls, d, grid):
     conjugate, is tuple6 with im a_123 negated, since TUPLES put the root in
     that slot only and the normalizer never reads it; margins6 and scale6
     read im a_123 only through |.|, so positive6 passes both or neither.
-    Before the first pass of a (cls, d, grid), check_row checks each fixed
-    and +1 row once; only a check that passes is recorded."""
+    The first pass of a (cls, d, grid) makes each fixed and +1 row by
+    realize_row, checked before it is yielded, and records the triple once
+    it ends; later passes make the same rows by normalized, unchecked."""
     d = integer(d, "d", cls.MIN_D)
     fixed, swept = cls.types(d)
     swept = tuple(t for t in swept if cls.KIND[t] != "neither")
     table = grid_table(grid)
-    if (cls, d, grid) not in _CHECKED:
-        for t in fixed:
-            check_row(cls, d, t, normalized(cls, t, 0.0, 0.0, 0.0, 0.0, d))
-        for A, B, C, root in zip(*[iter(table)] * 4):
-            for t in swept:
-                check_row(cls, d, (t, A, B, C, +1),
-                          normalized(cls, t, A, B, C, root, d))
-        _CHECKED.add((cls, d, grid))
+    done = (cls, d, grid) in _CHECKED
     for t in fixed:
-        yield t, normalized(cls, t, 0.0, 0.0, 0.0, 0.0, d)
+        yield t, (normalized(cls, t, 0.0, 0.0, 0.0, 0.0, d) if done
+                  else realize_row(cls, d, t))
     for A, B, C, root in zip(*[iter(table)] * 4):
-        pairs = []
-        for t in swept:
-            pairs.append((t, normalized(cls, t, A, B, C, root, d)))
+        if done:
+            pairs = []
+            for t in swept:
+                pairs.append((t, normalized(cls, t, A, B, C, root, d)))
+        else:
+            pairs = [(t, realize_row(cls, d, (t, A, B, C, +1))) for t in swept]
         yield A, B, C, pairs
+    _CHECKED.add((cls, d, grid))
 
 
 def rows(items):
@@ -477,17 +479,13 @@ def exact_minimum(c: Coeffs, type_name):
 
 def exact_rows(c: Coeffs):
     """One row for each swept type of c's class that is neither CP nor
-    CCP: its exact_minimum point, realized and checked.  A point realize
+    CCP: its exact_minimum point, by realize_row, so a point realize
     refuses is a NumericalError, never a skipped row."""
     cls = type(c)
     for t in cls.types(c.d)[1]:
         if cls.KIND[t] == "neither":
             key = (t, *exact_minimum(c, t)[1])
-            try:
-                yield key, realize(cls, *key, c.d)
-            except ContractError as exc:
-                raise NumericalError(
-                    f"the exact minimum {witness_id(key)} is refused: {exc}")
+            yield key, realize_row(cls, c.d, key)
 
 
 def witness_id(key):

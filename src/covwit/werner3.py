@@ -17,6 +17,9 @@ the witness grid, and Type III as one exact row: s3.exact_minimum finds the
 least witness eigenvalue over its whole parameter sphere in closed form,
 and s3.exact_rows realizes that point, checked, as the witness
 III[A,B,C,sign].  An A-BC-PPT state's verdict does not depend on the grid.
+The canonical witness L0 = (1, 1, -1, 1, -1, 0) is (d + 2)(d - 1) times
+the normalized Type III row at (A, B, C) = (1, 0, 0), so the exact Type
+III row fires whenever L0 does.
 """
 
 import math
@@ -89,12 +92,9 @@ def extremal_w3(type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3) -> S3Coeffs:
 
 
 def witness_L0(d) -> S3Coeffs:
-    """The canonical non-decomposable extremal witness (Type III, A=1,B=C=0),
-    rescaled to a_e = 1: coefficients (1, 1, -1, 1, -1, 0).  Witness verdicts
-    are scale invariant, so the trace-preserving normalization is dropped in
-    favor of the canonical integer form."""
-    ex = extremal_w3("III", 1.0, 0.0, 0.0, +1, d)
-    return ex.scale_by(1.0 / ex.a_e)
+    """L0, the first row of witness_rows: Type III at A = 1, B = C = 0 in
+    the integer form a_e = 1, since witness verdicts are scale invariant."""
+    return S3Coeffs.from_tuple6(d, next(witness_rows(d, s3.GRID))[1])
 
 
 def rho_t_coeffs(d, t) -> S3Coeffs:
@@ -134,7 +134,7 @@ def witness_rows(d, grid):
     """The witness items that do not depend on the state, one at a time: L0,
     then s3.catalogue (Type I, and Type II over the grid in conjugate
     pairs)."""
-    return chain((("L0", witness_L0(d).as_tuple6()),),
+    return chain((("L0", (1.0, 1.0, -1.0, 1.0, -1.0, 0.0)),),
                  s3.catalogue(S3Coeffs, d, grid))
 
 

@@ -3,6 +3,7 @@ its margin and has no floor, and certificates whose checks are each
 classified from their own margin."""
 
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -241,14 +242,62 @@ def test_check_hermitian_is_relative_at_small_scale():
 
 def test_extremal_reads_a_swept_point_at_a_plus_b_one():
     """(A, B, C) and (kA, kB, kC) name the same map, and AB >= C^2 is
-    checked at A + B = 1."""
+    checked at A + B = 1, a C whose C / (A + B) or square overflows
+    included."""
     tiny = werner3.extremal_w3("II", 2**-40, 2**-40, 0).as_tuple6()
     one = werner3.extremal_w3("II", 1, 1, 0).as_tuple6()
     assert [x.hex() for x in tiny] == [x.hex() for x in one]
-    with pytest.raises(ContractError, match=r"AB >= C\^2"):
-        werner3.extremal_w3("II", 1e-7, 1e-7, 1e-6)
+    for A, C in ((1e-7, 1e-6), (2**-1000, 2**600), (0.5, 1e200)):
+        with pytest.raises(ContractError, match=r"AB >= C\^2"):
+            werner3.extremal_w3("II", A, A, C)
     with pytest.raises(ContractError):
         werner3.extremal_w3("II", 0, 0, 0)
+
+
+def outside_disk(A, bands):
+    """(A, 1 - A, C), C > 0 with AB - C^2 = -bands times the band at the
+    disk's squared radius 1/4, up to rounding; the rounded multiple is
+    returned too."""
+    B = 1.0 - A
+    C = math.sqrt(A * B + bands * PSD_TOL / 4)
+    return (A, B, C), (A * B - C * C) / (PSD_TOL / 4)
+
+
+@pytest.mark.parametrize("cls, d", [(werner3.S3Coeffs, 3), (quo.QuoCoeffs, 2),
+                                    (quo.QuoCoeffs, 3)])
+@pytest.mark.parametrize("A", [0.5, 0.25, 0.01, 2**-20, 1 - 2**-20])
+def test_extremal_reads_the_disk_by_the_boundary_rule(cls, d, A):
+    """A point half a band outside AB >= C^2 is on the boundary, so it is
+    accepted and realizes the row of root 0 at either sign; two bands
+    outside, it is refused."""
+    (A, B, C), half = outside_disk(A, 0.5)
+    far, two = outside_disk(A, 2)
+    assert -0.6 < half < -0.4 and -2.1 < two < -1.9
+    for t in cls.types(d)[1]:
+        for c in (C, -C):
+            zero = s3.normalized(cls, t, A, B, c, 0.0, d)
+            for sign in (1, -1):
+                assert s3.extremal(cls, t, A, B, c, sign,
+                                   d).as_tuple6() == zero
+        for c in (far[2], -far[2]):
+            with pytest.raises(ContractError, match=r"AB >= C\^2"):
+                s3.extremal(cls, t, *far[:2], c, 1, d)
+
+
+def test_extremal_accepts_the_grid_ends_and_rounded_poles():
+    """C = +-sqrt(AB), the ends of every grid row at grids 2 to 256, lie
+    on the disk's edge and are accepted, and so is (1, 0, 5e-10), the
+    sphere point (1/2, 5e-10, 0) with A = 1/2 + 1/2 and B = 1/2 - 1/2
+    rounded: AB - C^2 is read at the disk's scale, not at AB's."""
+    points = [(1.0, 0.0, 5e-10), (0.0, 1.0, -5e-10)]
+    for g in range(2, s3.MAX_GRID + 1):
+        for u in s3.linspace(-1.0, 1.0, g):
+            A, B = (1 + u) / 2, (1 - u) / 2
+            cmax = math.sqrt(A * B)
+            points += [(A, B, -cmax), (A, B, cmax)]
+    for A, B, C in points:
+        werner3.extremal_w3("II", A, B, C, 1, 3)
+        quo.extremal_quo("III", A, B, C, 1, 3)
 
 
 @pytest.mark.parametrize("cls, d", [

@@ -84,19 +84,34 @@ def refusing(monkeypatch, cls, d, key=None, exc=None):
     return calls
 
 
+def checked_pass(calls, cls, d, grid, match):
+    """Consume a catalogue pass that must stop with a NumericalError
+    matching match; returns the rows it yielded first, after asserting
+    that each was checked before it was yielded, in order, and that one
+    more check, the refused one, came after them."""
+    items = []
+    with pytest.raises(NumericalError, match=match):
+        for item in s3.catalogue(cls, d, grid):
+            items.append(item)
+    checked = [row for key, row in s3.rows(items) if key[-1] != -1]
+    assert calls[:-1] == checked
+    return items
+
+
 def test_a_refused_row_is_a_numerical_error_that_names_it(fresh,
                                                            monkeypatch):
-    """The check refuses before the first item, at the row, and records
-    nothing, so the next call checks again."""
+    """The pass yields the rows before the refused one, each checked, then
+    stops at it with an error that names it; nothing is recorded, so the
+    next call checks again."""
     grid, key = 3, ("II", 0.5, 0.5, 0.0, 1)  # the one row of its tuple
     assert list(s3.grid_points(grid)).index(key[1:]) == 2 * 4
     calls = refusing(monkeypatch, W3, 3, key)
     for _ in range(2):
         calls.clear()
-        with pytest.raises(NumericalError,
-                           match=re.escape(s3.witness_id(key))):
-            next(s3.catalogue(W3, 3, grid))
-        assert len(calls) == 1 + 5 and fresh == set()  # I, then 5 points
+        items = checked_pass(calls, W3, 3, grid,
+                             re.escape(s3.witness_id(key)))
+        assert len(items) == 1 + 4 and len(calls) == 1 + 5  # I, 5 points
+        assert fresh == set()
 
 
 def test_each_row_is_checked_once(fresh, monkeypatch):
@@ -111,16 +126,22 @@ def test_each_row_is_checked_once(fresh, monkeypatch):
 
 
 def test_a_stopped_pass_records_nothing(fresh, monkeypatch):
-    """An overflow in the check stops it before the first item; nothing
-    is recorded, and the next call checks again."""
+    """An overflow in the check of the last pair stops the pass after
+    every earlier row, each checked; nothing is recorded, and the next
+    call checks again.  A pass its consumer stops records nothing
+    either."""
     key = ("II", *list(s3.grid_points(2))[-2])  # the last pair's +1 row
     assert key[-1] == 1
     calls = refusing(monkeypatch, W3, 3, key, OverflowError("boom"))
     for _ in range(2):
         calls.clear()
-        with pytest.raises(NumericalError):
-            next(s3.catalogue(W3, 3, 2))
-        assert calls and fresh == set()
+        items = checked_pass(calls, W3, 3, 2, "overflow")
+        # I and the pole (0, 1, 0) twice; the check overflows at (1, 0, 0)
+        assert len(items) == 1 + 2 and fresh == set()
+    items = s3.catalogue(W3, 3, 2)
+    next(items)  # the row of I, which passes
+    items.close()
+    assert fresh == set()
 
 
 @pytest.mark.parametrize("grid", [2, 3, 16, 64])

@@ -1,7 +1,7 @@
 """Every module under src/covwit, tests and demos uses each name it
-imports, the closed-form modules import no numpy, the CLI loads only the
-modules a command uses, and no module-level dict grows with the states a
-decision sees."""
+imports, the closed-form modules import no numpy, the only tolerances are
+linalg's PSD_TOL and EQ_TOL, the CLI loads only the modules a command
+uses, and no module-level dict grows with the states a decision sees."""
 
 import ast
 import importlib
@@ -67,6 +67,21 @@ def test_closed_form_modules_import_no_numpy():
             found += [f"{name}.py:{node.lineno}: {m}" for m in mods
                       if m.split(".")[0] == "numpy"]
     assert not found, "numpy imports:\n" + "\n".join(found)
+
+
+def test_the_only_tolerances_are_psd_tol_and_eq_tol():
+    """No module of src/covwit binds a *_TOL name at module level but
+    linalg's two boundary-rule constants."""
+    found = set()
+    for path in sorted((ROOT / "src/covwit").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            found |= {f"{path.stem}.{n.id}" for t in targets
+                      for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and n.id.endswith("_TOL")}
+    assert found == {"linalg.PSD_TOL", "linalg.EQ_TOL"}
 
 
 def test_cli_imports_oracle_only_for_selftest():

@@ -2,6 +2,7 @@
 extremal witnesses, and the PPT-entangled state family rho_t."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,18 @@ def test_witness_L0_canonical_form():
     assert np.allclose(c.vector(), [1, 1, -1, 1, -1, -1])
     assert w3.is_positive_w3(c)
     assert not w3.is_cp_w3(c) and not w3.is_ccp_w3(c)  # non-decomposable
+
+
+def test_witness_L0_is_the_literal_at_every_d():
+    """L0 is (1, 1, -1, 1, -1, 0) bit for bit, not a rescaled extremal that
+    drifts by an ulp (it did at 233 of these d, first at d = 39); the Type
+    III extremal at (1, 0, 0) scaled to a_e = 1 is within one ulp of it."""
+    lit = (1.0, 1.0, -1.0, 1.0, -1.0, 0.0)
+    for d in range(3, 3000):
+        assert w3.witness_L0(d).as_tuple6() == lit
+        ex = w3.extremal_w3("III", 1, 0, 0, d=d)
+        row = ex.scale_by(1.0 / ex.a_e).as_tuple6()
+        assert all(abs(x - y) <= math.ulp(y) for x, y in zip(row, lit)), d
 
 
 def test_rho_t_is_state():
