@@ -6,6 +6,11 @@ psi3 = diagonal pinching.  Every map in the family is unital and trace
 preserving; membership in the positive / CP / CCP / PPT cones is decided by
 explicit linear inequalities in (a, b, c), and PPT coincides with
 entanglement breaking on this family.
+
+The family is closed under composition: the four maps span a commutative
+algebra with psi2 o psi2 = psi1, psi3 o psi2 = psi2 o psi3 = psi3 o psi3 =
+psi3, and psi0 o psi = psi o psi0 = psi0 for each of them (`compose`).  So
+a witness image (id (x) psi_v)(C_psi) is the Choi matrix of psi_v o psi.
 """
 
 from dataclasses import dataclass
@@ -14,8 +19,8 @@ import numpy as np
 
 from .certificate import Certificate
 from .choi import LinMap
-from .linalg import (ContractError, UnsupportedDimensionError, check_dense,
-                     classify, finite_number, integer)
+from .linalg import (ContractError, DimensionError, UnsupportedDimensionError,
+                     check_dense, classify, finite_number, integer)
 
 CONSTRAINT_TAGS = (1, 2, 3, 4, 5, 6)
 
@@ -54,6 +59,21 @@ class HHExtremals:
     ccp_vertices: tuple     # their transpose compositions
     ppt_vertices: tuple     # 8 vertices of the PPT channel polytope
     wh_vertices: tuple      # 4 extremal PPT channels of the b+c subfamily
+
+
+def compose(outer: HHCoeffs, inner: HHCoeffs) -> HHCoeffs:
+    """psi_outer o psi_inner, with w = 1 - a - b - c the psi3 weight:
+    b' = b_o b_i + c_o c_i, c' = b_o c_i + c_o b_i,
+    w' = w_o (1 - a_i) + (b_o + c_o) w_i, and a' = 1 - b' - c' - w'."""
+    if outer.d != inner.d:
+        raise DimensionError(
+            f"cannot compose d = {outer.d} with d = {inner.d}")
+    wo = 1.0 - outer.a - outer.b - outer.c
+    wi = 1.0 - inner.a - inner.b - inner.c
+    b = outer.b * inner.b + outer.c * inner.c
+    c = outer.b * inner.c + outer.c * inner.b
+    w = wo * (1.0 - inner.a) + (outer.b + outer.c) * wi
+    return HHCoeffs(inner.d, 1.0 - b - c - w, b, c)
 
 
 def build_psi(co: HHCoeffs) -> LinMap:
@@ -173,8 +193,11 @@ def decide(co: HHCoeffs) -> Certificate:
 
     EB equals PPT on this family, and the verdict is ppt's; the 8 extremal
     positive maps, as witnesses on the normalized Choi, only record their
-    least eigenvalue as separable_choi.  Each check is classified from its
-    own margin under the linalg boundary rule.
+    least eigenvalue as separable_choi.  A witness image
+    (id (x) psi_v)(rho) is the normalized Choi matrix of compose(v, co),
+    real symmetric since (a, b, c) are real, so each least eigenvalue is one
+    real eigensolve.  Each check is classified from its own margin under the
+    linalg boundary rule.
     """
     if co.d < 3:
         raise UnsupportedDimensionError("decide requires d >= 3")
@@ -200,8 +223,8 @@ def decide(co: HHCoeffs) -> Certificate:
     ext = extremals(co.d)
     for kind, vs in (("cp", ext.cp_vertices), ("ccp", ext.ccp_vertices)):
         for i, v in enumerate(vs, start=1):
-            w = build_psi(v)
-            lo = float(np.linalg.eigvalsh(w.id_tensor(rho, co.d))[0])
+            image = build_psi(compose(v, co)).choi(normalized=True).real
+            lo = float(np.linalg.eigvalsh(image)[0])
             cert.witnesses.append(
                 {"id": f"extremal-{kind}-{i}",
                  "params": {"a": v.a, "b": v.b, "c": v.c},

@@ -336,6 +336,23 @@ def selftest(seed=0, level="quick", out=print):
 
     check("oo-twirl-identities", oo_identity)
 
+    def hh_composition():
+        worst = 0.0
+        for d in range(3, 9) if big else (3,):
+            vs = hh.extremals(d)
+            for _ in range(20):
+                co = hh.HHCoeffs(d, *rng.uniform(-2, 2, size=3))
+                rho = hh.build_psi(co).choi(normalized=True)
+                for v in vs.cp_vertices + vs.ccp_vertices:
+                    dense = hh.build_psi(v).id_tensor(rho, d)
+                    closed = hh.build_psi(hh.compose(v, co)).choi(
+                        normalized=True)
+                    worst = max(worst, np.abs(dense - closed).max()
+                                / np.abs(dense).max())
+        return worst <= 1e-12, f"worst relative dev {worst:.1e}"
+
+    check("hh-composition", hh_composition)
+
     all_ok = all(ok for _, ok, _, _ in results)
     if out is not None:
         width = max(len(n) for n, _, _, _ in results)

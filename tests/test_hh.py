@@ -4,8 +4,10 @@ behind it."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covwit import hh, oracle
+from covwit.choi import LinMap
 from covwit.linalg import (ContractError, DimensionError,
                            UnsupportedDimensionError, is_psd)
 from covwit.twirl import hh_basis, coefficients
@@ -192,3 +194,102 @@ def test_certificate_json_is_deterministic():
     a = hh.decide(hh.HHCoeffs(3, 1.0, 1 / 3, 1 / 3)).to_json()
     b = hh.decide(hh.HHCoeffs(3, 1.0, 1 / 3, 1 / 3)).to_json()
     assert a == b and a.endswith("\n")
+
+
+coeff = st.floats(-2, 2, allow_nan=False)
+dims = st.integers(3, 8)
+
+
+def coeffs(d):
+    return st.builds(hh.HHCoeffs, st.just(d), coeff, coeff, coeff)
+
+
+def same_map(x, y, scale=1.0):
+    return x.d == y.d and np.abs(np.subtract(
+        (x.a, x.b, x.c), (y.a, y.b, y.c))).max() <= 1e-12 * scale
+
+
+@settings(max_examples=60)
+@given(data=st.data(), d=dims)
+def test_compose_is_the_witness_image(data, d):
+    """(id (x) psi_v)(C_psi) is the Choi matrix of psi_v o psi, for any
+    (a, b, c), not only channels."""
+    v, co = data.draw(coeffs(d)), data.draw(coeffs(d))
+    got = hh.build_psi(hh.compose(v, co)).choi()
+    want = hh.build_psi(v).id_tensor(hh.build_psi(co).choi(), d)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@given(data=st.data(), d=dims)
+def test_compose_with_id_and_transpose(data, d):
+    co = data.draw(coeffs(d))
+    ident, transpose = hh.HHCoeffs(d, 0, 1, 0), hh.HHCoeffs(d, 0, 0, 1)
+    assert same_map(hh.compose(ident, co), co)
+    assert same_map(hh.compose(co, ident), co)
+    assert same_map(hh.compose(co, transpose), co.swapped())
+    assert same_map(hh.compose(transpose, co), co.swapped())
+
+
+@given(data=st.data(), d=dims)
+def test_compose_is_associative(data, d):
+    x, y, z = (data.draw(coeffs(d)) for _ in range(3))
+    assert same_map(hh.compose(hh.compose(x, y), z),
+                    hh.compose(x, hh.compose(y, z)), scale=1e2)
+
+
+def test_compose_rejects_mixed_dimensions():
+    with pytest.raises(DimensionError):
+        hh.compose(hh.HHCoeffs(3, 1, 0, 0), hh.HHCoeffs(4, 1, 0, 0))
+
+
+def closed_form_spectrum(co):
+    """Spectrum of psi's normalized Choi matrix, ascending, from its four
+    eigenspaces: Omega (multiplicity 1), D - Omega (d - 1), and the
+    symmetric and antisymmetric off-diagonal parts (d(d - 1)/2 each)."""
+    d, a, b, c = co.d, co.a, co.b, co.c
+    w = 1.0 - a - b - c
+    pairs = d * (d - 1) // 2
+    return np.sort(np.repeat(
+        [(a / d + b * d + c + w) / d, (a / d + c + w) / d,
+         (a / d + c) / d, (a / d - c) / d], [1, d - 1, pairs, pairs]))
+
+
+def channels(d):
+    ext = hh.extremals(d)
+    rng = np.random.default_rng(d)
+    return (hh.HHCoeffs(d, *np.mean(ext.ppt_vertices, axis=0)),
+            hh.HHCoeffs(d, 0.0, 1.0, 0.0),
+            hh.HHCoeffs(d, 1.0, 1.0 / d, 1.0 / d),
+            *(oracle._random_cptp_hh(rng, d) for _ in range(4)))
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_decide_witnesses_without_id_tensor(monkeypatch, d):
+    """decide's witness minima need no id (x) L product; each equals the
+    dense image's least eigenvalue and the least of the closed-form
+    spectrum of the composed map's normalized Choi matrix, which matches
+    the dense spectrum with multiplicities."""
+    ext = hh.extremals(d)
+    vertices = ext.cp_vertices + ext.ccp_vertices
+    cases = []
+    for co in channels(d):
+        rho = hh.build_psi(co).choi(normalized=True)
+        dense = [np.linalg.eigvalsh(hh.build_psi(v).id_tensor(rho, d))[0]
+                 for v in vertices]
+        closed = []
+        for v in vertices:
+            image = hh.build_psi(hh.compose(v, co)).choi(normalized=True)
+            spectrum = closed_form_spectrum(hh.compose(v, co))
+            assert np.abs(spectrum - np.linalg.eigvalsh(image)).max() <= 1e-12
+            closed.append(spectrum[0])
+        cases.append((co, dense, closed))
+
+    def refuse(*args):
+        raise AssertionError("id_tensor on the decide path")
+
+    monkeypatch.setattr(LinMap, "id_tensor", refuse)
+    for co, dense, closed in cases:
+        got = [w["min_eig"] for w in hh.decide(co).witnesses]
+        assert len(got) == 8
+        assert np.abs(np.subtract(got, dense)).max() <= 1e-12
+        assert np.abs(np.subtract(got, closed)).max() <= 1e-12

@@ -116,8 +116,9 @@ def test_mc_twirl_rejects_bad_family_and_shape():
 def test_selftest_quick_passes():
     ok, results = selftest(seed=0, level="quick", out=None)
     assert ok
-    assert len(results) == 11
-    assert "werner3-exact-type-iii" in [name for name, *_ in results]
+    assert len(results) == 12
+    names = [name for name, *_ in results]
+    assert "werner3-exact-type-iii" in names and "hh-composition" in names
     for name, passed, detail, dt in results:
         assert passed, (name, detail)
 
