@@ -165,11 +165,11 @@ def cmd_regions(args):
         for v in ext.ccp_vertices:
             print(f"ccp     {v.a!r} {v.b!r} {v.c!r}")
         print("# PPT polytope vertices (a, b, c)")
-        for i, v in enumerate(ext.ppt_vertices):
-            print(f"ppt v{i}  {v[0]!r} {v[1]!r} {v[2]!r}")
+        for i, v in enumerate(hh.ppt_vertices(args.d)):
+            print(f"ppt v{i}  {v.a!r} {v.b!r} {v.c!r}")
         print("# PPT subfamily vertices (b, c) with a = 1-b-c")
-        for i, (b, c) in enumerate(ext.wh_vertices, start=1):
-            print(f"wh w{i}   {b!r} {c!r}")
+        for i, v in enumerate(hh.wh_vertices(args.d), start=1):
+            print(f"wh w{i}   {v.b!r} {v.c!r}")
     else:
         d = args.d
         print(f"# CPTP iff:  0 <= a <= {d}/{d-1};  "

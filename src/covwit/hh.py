@@ -5,7 +5,9 @@ psi0(X) = Tr(X)/d * Id (depolarizing), psi1 = id, psi2 = transpose,
 psi3 = diagonal pinching.  Every map in the family is unital and trace
 preserving; membership in the positive / CP / CCP / PPT cones is decided by
 explicit linear inequalities in (a, b, c), and PPT coincides with
-entanglement breaking on this family.
+entanglement breaking on this family.  The CP inequalities are the four
+distinct eigenvalues of the normalized Choi matrix (`cptp_margins`), and
+every check is read at one scale, max(|a|, |b|, |c|).
 
 The family is closed under composition: the four maps span a commutative
 algebra with psi2 o psi2 = psi1, psi3 o psi2 = psi2 o psi3 = psi3 o psi3 =
@@ -52,13 +54,11 @@ class HHCoeffs:
 
 @dataclass(frozen=True)
 class HHExtremals:
-    """Extremal catalogue at dimension d."""
+    """The eight extremal positive maps at dimension d, decide's witnesses."""
 
     d: int
     cp_vertices: tuple      # 4 extremal channels (Choi PSD)
     ccp_vertices: tuple     # their transpose compositions
-    ppt_vertices: tuple     # 8 vertices of the PPT channel polytope
-    wh_vertices: tuple      # 4 extremal PPT channels of the b+c subfamily
 
 
 def compose(outer: HHCoeffs, inner: HHCoeffs) -> HHCoeffs:
@@ -118,15 +118,13 @@ def is_positive(co: HHCoeffs):
 
 
 def cptp_margins(co: HHCoeffs):
+    """The four distinct eigenvalues of the normalized Choi matrix, times
+    d/(d-1), d, d and d (multiplicities 1, d-1, d(d-1)/2, d(d-1)/2); all
+    >= 0 iff CP.  They imply 0 <= a <= d/(d-1): a = d(m3 + m4)/2 and
+    d/(d-1) - a = m1 + m2."""
     d, a, b, c = co.d, co.a, co.b, co.c
-    return (
-        a,
-        d / (d - 1) - a,
-        b - (a / d - 1.0 / (d - 1)),
-        1.0 - (d - 1) * a / d - b,
-        c + a / d,
-        a / d - c,
-    )
+    return (b - (a / d - 1.0 / (d - 1)), 1.0 - (d - 1) * a / d - b,
+            c + a / d, a / d - c)
 
 
 def is_cptp(co: HHCoeffs):
@@ -158,34 +156,33 @@ def extremals(d) -> HHExtremals:
         HHCoeffs(d, 0.0, -f, 0.0),
         HHCoeffs(d, e, 0.0, -f),
     )
-    ccp = tuple(v.swapped() for v in cp)
+    return HHExtremals(d, cp, tuple(v.swapped() for v in cp))
+
+
+def ppt_vertices(d):
+    """The 8 vertices of the PPT channel polytope."""
+    d = integer(d, "d", 2)
     g = 1.0 / (2 * (d - 1))
     h = 1.0 / (d * (d - 1))
-    ppt = (
-        (0.0, 0.0, 0.0),
-        (d * g, g, -g),
-        (d * g, -g, g),
-        (d * g, -g, -g),
-        (1.0, 1.0 / d, 1.0 / d),
-        (1.0, 1.0 / d, -h),
-        (1.0, -h, 1.0 / d),
-        (e, 0.0, 0.0),
+    return (
+        HHCoeffs(d, 0.0, 0.0, 0.0),
+        HHCoeffs(d, d * g, g, -g),
+        HHCoeffs(d, d * g, -g, g),
+        HHCoeffs(d, d * g, -g, -g),
+        HHCoeffs(d, 1.0, 1.0 / d, 1.0 / d),
+        HHCoeffs(d, 1.0, 1.0 / d, -h),
+        HHCoeffs(d, 1.0, -h, 1.0 / d),
+        HHCoeffs(d, d / (d - 1), 0.0, 0.0),
     )
-    q = d * d + d - 2.0
-    wh = (
-        (1.0 / (d + 2), 1.0 / (d + 2)),
-        (-2.0 / q, d / q),
-        (-1.0 / q, -1.0 / q),
-        (d / q, -2.0 / q),
-    )
-    return HHExtremals(d, cp, ccp, ppt, wh)
 
 
 def wh_vertices(d):
-    """The four extremal PPT channels of the a = 1-b-c subfamily, as
-    HHCoeffs."""
-    return tuple(HHCoeffs(d, 1.0 - b - c, b, c)
-                 for b, c in extremals(d).wh_vertices)
+    """The four extremal PPT channels of the a = 1-b-c subfamily."""
+    d = integer(d, "d", 2)
+    q = d * d + d - 2.0
+    return tuple(HHCoeffs(d, 1.0 - b - c, b, c) for b, c in (
+        (1.0 / (d + 2), 1.0 / (d + 2)), (-2.0 / q, d / q),
+        (-1.0 / q, -1.0 / q), (d / q, -2.0 / q)))
 
 
 def decide(co: HHCoeffs) -> Certificate:
@@ -197,7 +194,7 @@ def decide(co: HHCoeffs) -> Certificate:
     (id (x) psi_v)(rho) is the normalized Choi matrix of compose(v, co),
     real symmetric since (a, b, c) are real, so each least eigenvalue is one
     real eigensolve.  Each check is classified from its own margin under the
-    linalg boundary rule.
+    linalg boundary rule at co.scale().
     """
     if co.d < 3:
         raise UnsupportedDimensionError("decide requires d >= 3")
@@ -207,19 +204,14 @@ def decide(co: HHCoeffs) -> Certificate:
             "(see is_cptp/is_positive for region membership)")
     cert = Certificate("hh", co.d, {"a": co.a, "b": co.b, "c": co.c})
     s = co.scale()
-    margins = positivity_margins(co)
-    pos = min(margins.values())
-    tag = next((t for t, m in margins.items() if classify(m, s) == "false"),
-               None)  # is_positive's tag
+    pos, tag = min(positivity_margins(co).values()), is_positive(co)[1]
     cert.add_check("positive", classify(pos, s), margin=pos,
                    **({} if tag is None else {"tag": tag}))
-    cp = min(cptp_margins(co))
-    ccp = min(cptp_margins(co.swapped()))
+    cp, ccp = min(cptp_margins(co)), min(cptp_margins(co.swapped()))
     ppt = min(cp, ccp)
     for name, m in (("cp", cp), ("ccp", ccp), ("ppt", ppt), ("eb", ppt)):
         cert.add_check(name, classify(m, s), margin=m)
 
-    rho = build_psi(co).choi(normalized=True)
     ext = extremals(co.d)
     for kind, vs in (("cp", ext.cp_vertices), ("ccp", ext.ccp_vertices)):
         for i, v in enumerate(vs, start=1):
@@ -230,7 +222,6 @@ def decide(co: HHCoeffs) -> Certificate:
                  "params": {"a": v.a, "b": v.b, "c": v.c},
                  "min_eig": lo})
     lo = min(w["min_eig"] for w in cert.witnesses)
-    cert.add_check("separable_choi",
-                   classify(lo, float(np.linalg.norm(rho))), min_eig=lo)
+    cert.add_check("separable_choi", classify(lo, s), min_eig=lo)
     cert.verdict = "EB" if cert.check_true("ppt") else "NOT-EB"
     return cert

@@ -271,7 +271,8 @@ def extremal(cls, type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3):
     one of cls.types(d), as a cls.  The swept types need A, B >= 0, A + B
     > 0 and AB >= C^2, read at A + B = 1 by the boundary rule at the
     disk's squared radius 1/4 (|C| > 1 is refused before C^2 can
-    overflow); sign = +1 or -1 picks the root sqrt(AB - C^2)."""
+    overflow), and an accepted |C| > sqrt(AB) is realized on the disk at
+    sqrt(AB); sign = +1 or -1 picks the root sqrt(AB - C^2)."""
     d = integer(d, "d", cls.MIN_D)
     fixed, swept = cls.types(d)
     if type_name not in fixed + swept:
@@ -286,6 +287,7 @@ def extremal(cls, type_name, A=0.0, B=0.0, C=0.0, sign=+1, d=3):
         A, B, C = A / n, B / n, C / n
         if abs(C) > 1 or classify(A * B - C * C, 0.25) == "false":
             raise ContractError("need A,B >= 0 and AB >= C^2")
+        C = math.copysign(min(abs(C), math.sqrt(A * B)), C)
     return cls.from_tuple6(d, realize(cls, type_name, A, B, C, sign, d))
 
 

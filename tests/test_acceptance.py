@@ -160,7 +160,7 @@ def test_criterion_03_hh_extremal_accounting():
         assert choi_min(v) >= -1e-10
     for v in ext.ccp_vertices:
         assert pt_min(v) >= -1e-10
-    vs = [hh.HHCoeffs(d, *t) for t in ext.ppt_vertices]
+    vs = hh.ppt_vertices(d)
     assert len(vs) == 8
     for v in vs:
         for co in (v, v.swapped()):
@@ -308,10 +308,7 @@ def test_criterion_09_quo_extremals_and_ppt_states():
             for c_ in np.linspace(-cmax, cmax, 32):
                 for sg in (1, -1):
                     for t in types:
-                        try:
-                            ex = quo.extremal_quo(t, a_, b_, c_, sg, d)
-                        except Exception:
-                            continue
+                        ex = quo.extremal_quo(t, a_, b_, c_, sg, d)
                         rows.append(cp_ccp_row(ex))
         assert rows
         coeffs = np.array([r[2] for r in rows])

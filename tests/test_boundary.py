@@ -268,20 +268,34 @@ def outside_disk(A, bands):
 @pytest.mark.parametrize("A", [0.5, 0.25, 0.01, 2**-20, 1 - 2**-20])
 def test_extremal_reads_the_disk_by_the_boundary_rule(cls, d, A):
     """A point half a band outside AB >= C^2 is on the boundary, so it is
-    accepted and realizes the row of root 0 at either sign; two bands
-    outside, it is refused."""
+    accepted and realizes the row on the disk, at C = +-sqrt(AB), for
+    either sign; two bands outside, it is refused."""
     (A, B, C), half = outside_disk(A, 0.5)
     far, two = outside_disk(A, 2)
     assert -0.6 < half < -0.4 and -2.1 < two < -1.9
     for t in cls.types(d)[1]:
         for c in (C, -C):
-            zero = s3.normalized(cls, t, A, B, c, 0.0, d)
+            edge = math.copysign(math.sqrt(A * B), c)
             for sign in (1, -1):
-                assert s3.extremal(cls, t, A, B, c, sign,
-                                   d).as_tuple6() == zero
+                assert s3.extremal(cls, t, A, B, c, sign, d).as_tuple6() == \
+                    s3.realize(cls, t, A, B, edge, sign, d)
         for c in (far[2], -far[2]):
             with pytest.raises(ContractError, match=r"AB >= C\^2"):
                 s3.extremal(cls, t, *far[:2], c, 1, d)
+
+
+@pytest.mark.parametrize("d", [3, 8, 100, 10**6, 10**9])
+def test_a_rounded_pole_is_realized_at_the_pole(d):
+    """(1, 0, +-5e-9) is within the disk band of the pole (1, 0, 0); it is
+    realized at C = 0, so it gives the pole's row and passes the positivity
+    check at every d, the large d where quo's scale is narrow included."""
+    cases = [(quo.extremal_quo, t) for t in quo.QuoCoeffs.types(d)[1]] + [
+        (werner3.extremal_w3, t) for t in werner3.S3Coeffs.types(d)[1]]
+    for extremal, t in cases:
+        for sign in (1, -1):
+            pole = extremal(t, 1.0, 0.0, 0.0, sign, d)
+            for C in (5e-9, -5e-9):
+                assert extremal(t, 1.0, 0.0, C, sign, d) == pole, (t, C)
 
 
 def test_extremal_accepts_the_grid_ends_and_rounded_poles():

@@ -159,7 +159,7 @@ def test_hh_witness_min_eigs_match_einsum_images(d):
     """hh.decide's eight witness min_eig values equal the least eigenvalues
     of the einsum images, on an EB and a NOT-EB channel."""
     ext = hh.extremals(d)
-    mean = np.mean(ext.ppt_vertices, axis=0)
+    mean = np.mean([(v.a, v.b, v.c) for v in hh.ppt_vertices(d)], axis=0)
     for co in (hh.HHCoeffs(d, *mean), hh.HHCoeffs(d, 0.0, 1.0, 0.0)):
         cert = hh.decide(co)
         rho = hh.build_psi(co).choi(normalized=True)

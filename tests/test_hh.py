@@ -2,6 +2,8 @@
 polytopes, PPT = entanglement breaking, and the two separability identities
 behind it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,8 +128,8 @@ def test_extremal_accounting():
     for v in ext.ccp_vertices:
         assert hh.is_ccp(v)
         assert hh.is_positive(v)[0]
-    assert len(ext.ppt_vertices) == 8
-    vs = [hh.HHCoeffs(d, *t) for t in ext.ppt_vertices]
+    vs = hh.ppt_vertices(d)
+    assert len(vs) == 8
     for v in vs:
         assert hh.is_ppt(v)
     for i in range(8):
@@ -136,6 +138,17 @@ def test_extremal_accounting():
                               (vs[i].b + vs[j].b) / 2,
                               (vs[i].c + vs[j].c) / 2)
             assert hh.is_ppt(mid)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_every_vertex_set_is_a_tuple_of_hhcoeffs(d):
+    ext = hh.extremals(d)
+    assert [f.name for f in dataclasses.fields(ext)] == [
+        "d", "cp_vertices", "ccp_vertices"]
+    for vs in (ext.cp_vertices, ext.ccp_vertices, hh.ppt_vertices(d),
+               hh.wh_vertices(d)):
+        assert type(vs) is tuple
+        assert all(type(v) is hh.HHCoeffs and v.d == d for v in vs)
 
 
 def test_ppt_vertex_v4():
@@ -255,9 +268,9 @@ def closed_form_spectrum(co):
 
 
 def channels(d):
-    ext = hh.extremals(d)
     rng = np.random.default_rng(d)
-    return (hh.HHCoeffs(d, *np.mean(ext.ppt_vertices, axis=0)),
+    mean = np.mean([(v.a, v.b, v.c) for v in hh.ppt_vertices(d)], axis=0)
+    return (hh.HHCoeffs(d, *mean),
             hh.HHCoeffs(d, 0.0, 1.0, 0.0),
             hh.HHCoeffs(d, 1.0, 1.0 / d, 1.0 / d),
             *(oracle._random_cptp_hh(rng, d) for _ in range(4)))
@@ -293,3 +306,39 @@ def test_decide_witnesses_without_id_tensor(monkeypatch, d):
         assert len(got) == 8
         assert np.abs(np.subtract(got, dense)).max() <= 1e-12
         assert np.abs(np.subtract(got, closed)).max() <= 1e-12
+
+
+@settings(max_examples=100)
+@given(data=st.data(), d=dims)
+def test_cptp_margins_are_the_choi_spectrum(data, d):
+    """The four CP margins, times ((d-1)/d, 1/d, 1/d, 1/d) and repeated
+    (1, d-1, d(d-1)/2, d(d-1)/2) times, are the dense spectrum of the
+    normalized Choi matrix; the bounds 0 <= a <= d/(d-1) are sums of them."""
+    co = data.draw(coeffs(d))
+    m = hh.cptp_margins(co)
+    assert len(m) == 4
+    pairs = d * (d - 1) // 2
+    spectrum = np.sort(np.repeat(
+        np.multiply(m, [(d - 1) / d, 1 / d, 1 / d, 1 / d]),
+        [1, d - 1, pairs, pairs]))
+    dense = np.linalg.eigvalsh(hh.build_psi(co).choi(normalized=True))
+    assert np.abs(spectrum - dense).max() <= 1e-12
+    assert abs(co.a - d * (m[2] + m[3]) / 2) <= 1e-12
+    assert abs(d / (d - 1) - co.a - (m[0] + m[1])) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_decide_builds_only_the_eight_witness_images(monkeypatch, d):
+    """decide makes one map per witness image and none for its checks."""
+    built = []
+    build_psi = hh.build_psi
+
+    def counted(co):
+        built.append(co)
+        return build_psi(co)
+
+    monkeypatch.setattr(hh, "build_psi", counted)
+    for co in channels(d):
+        built.clear()
+        hh.decide(co)
+        assert len(built) == 8
