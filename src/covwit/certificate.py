@@ -5,15 +5,49 @@ A certificate records, for one input family member, every membership check
 {"true", "false", "boundary"} (from `linalg.classify`) plus the numeric
 evidence it was classified by, the witness sweep results, and the rule's
 constants PSD_TOL and EQ_TOL, so the JSON output is reproducible byte for byte.
+
+`to_json` writes exactly `json.dumps(obj, sort_keys=True, indent=2)` plus a
+newline, through its own writer: `indent` makes `json` use its pure-Python
+encoder, and the writer lays out str-keyed dicts, lists, finite floats and
+strings itself, with the C string encoder `json.dumps` uses.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .linalg import EQ_TOL, PSD_TOL
 
 VERDICTS = ("true", "false", "boundary")
+
+
+def _write(x, indent=""):
+    """x as `json.dumps(x, sort_keys=True, indent=2)` lays it out at this
+    indent.  Lists, str-keyed dicts, finite floats and strs are written here.
+    Anything else goes to json, re-indented (JSON text holds no raw newline),
+    and so does a dict or list whose layout raised TypeError: a non-str key,
+    or an item that json refuses too."""
+    t = type(x)
+    if t is float and math.isfinite(x):
+        return float.__repr__(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is dict or t is list:
+        o, c = "{}" if t is dict else "[]"
+        if not x:
+            return o + c
+        inner = indent + "  "
+        try:
+            items = ([encode_basestring_ascii(k) + ": " + _write(x[k], inner)
+                      for k in sorted(x)] if t is dict
+                     else [_write(v, inner) for v in x])
+            return (o + "\n" + inner + (",\n" + inner).join(items) + "\n"
+                    + indent + c)
+        except TypeError:
+            pass
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
 @dataclass
@@ -36,7 +70,7 @@ class Certificate:
     def to_json(self):
         obj = {k: v for k, v in vars(self).items() if v is not None}
         obj["version"] = __version__
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return _write(obj) + "\n"
 
     def summary(self):
         lines = [f"family: {self.family}  d: {self.d}"]

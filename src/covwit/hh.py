@@ -15,6 +15,7 @@ psi3, and psi0 o psi = psi o psi0 = psi0 for each of them (`compose`).  So
 a witness image (id (x) psi_v)(C_psi) is the Choi matrix of psi_v o psi.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +148,12 @@ def on_boundary(co: HHCoeffs):
 
 
 def extremals(d) -> HHExtremals:
-    d = integer(d, "d", 2)
+    """The witnesses at d, built once per validated d and shared."""
+    return _extremals(integer(d, "d", 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _extremals(d):
     e = d / (d - 1)
     f = 1.0 / (d - 1)
     cp = (

@@ -11,6 +11,7 @@ Equalities hold to EQ_TOL relative; certificates record both constants.
 """
 
 import cmath
+import math
 import numbers
 import operator
 
@@ -50,7 +51,10 @@ def is_number(v):
 def finite_number(v, what, real=True):
     """The coefficient rule: v as a float (a complex if not real) if it is
     a finite number, numpy's and Fraction included, bool not, with zero
-    imaginary part if real; else ContractError."""
+    imaginary part if real; else ContractError.  A finite float returns
+    at once, the value the general path gives (-0.0 included)."""
+    if type(v) is float and math.isfinite(v):
+        return v if real else complex(v)
     try:
         z = complex(v) if is_number(v) else None
     except (TypeError, ValueError, OverflowError):

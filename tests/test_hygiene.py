@@ -1,9 +1,11 @@
 """Every module under src/covwit, tests and demos uses each name it
 imports, the closed-form modules import no numpy, the only tolerances are
 linalg's PSD_TOL and EQ_TOL, the CLI loads only the modules a command
-uses, and no module-level dict grows with the states a decision sees."""
+uses, and no module-level dict or functools cache grows with the states a
+decision sees."""
 
 import ast
+import gc
 import importlib
 import json
 import math
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from covwit import quo, s3, werner3
+from covwit import hh, quo, s3, werner3
 
 ROOT = Path(__file__).resolve().parent.parent
 DIRS = ("src/covwit", "tests", "demos")
@@ -123,15 +125,28 @@ def test_cli_loads_only_the_modules_a_command_uses(family):
 
 
 def module_dicts():
-    """Every module-level dict and set of every covwit module, by name."""
+    """Every module-level dict and set of every covwit module, by name, and
+    the cache dict of every functools cache (its keys are the arguments)."""
     import covwit
 
     out = {}
     for info in pkgutil.iter_modules(covwit.__path__):
         mod = importlib.import_module(f"covwit.{info.name}")
-        out.update((f"{info.name}.{name}", v) for name, v in vars(mod).items()
-                   if isinstance(v, (dict, set)) and not name.startswith("__"))
+        for name, v in vars(mod).items():
+            if isinstance(v, (dict, set)) and not name.startswith("__"):
+                out[f"{info.name}.{name}"] = v
+            elif hasattr(v, "cache_info"):
+                out[f"{info.name}.{name}()"] = lru_cache_dict(v)
     return out
+
+
+def lru_cache_dict(f):
+    """The dict a functools cache keeps its entries in, found among the
+    objects it refers to; its length is cache_info().currsize."""
+    found = [r for r in gc.get_referents(f)
+             if isinstance(r, dict) and r is not f.__dict__]
+    assert len(found) == 1, f
+    return found[0]
 
 
 def states(cls, d, n):
@@ -145,6 +160,17 @@ def states(cls, d, n):
         yield c.scale_by(1.0 / c.trace())
 
 
+def channels(d, n):
+    """n distinct hh channels: random convex mixtures of the four extremal
+    channels."""
+    rng = random.Random(d)
+    vs = hh.extremals(d).cp_vertices
+    for _ in range(n):
+        w = [rng.random() for _ in vs]
+        yield hh.HHCoeffs(d, *(sum(x * getattr(v, k) for x, v in zip(w, vs))
+                               / sum(w) for k in "abc"))
+
+
 def flat(key):
     if isinstance(key, (tuple, frozenset)):
         for k in key:
@@ -153,25 +179,39 @@ def flat(key):
         yield key
 
 
-@pytest.mark.parametrize("family", ["werner3", "quo"])
-def test_no_module_dict_grows_with_the_states_swept(family):
-    """200 distinct states at one (d, grid) leave every module-level dict
-    of covwit as long as one state does, and no key holds a coefficient."""
+def swept(family):
+    """200 distinct inputs at d = 3 (hh: channels) and the decision that
+    takes them, at grid 8 for the S3 families."""
+    if family == "hh":
+        return list(channels(3, 200)), hh.decide
     cls, decide = ((werner3.S3Coeffs, werner3.detect_entanglement_w3)
                    if family == "werner3" else
                    (quo.QuoCoeffs, quo.decide_quo))
-    seen = list(states(cls, 3, 200))
-    assert len({c.as_tuple6() for c in seen}) == 200
-    decide(seen[0], grid=8)
+    return list(states(cls, 3, 200)), lambda c: decide(c, grid=8)
+
+
+def numbers(c):
+    return ((c.a, c.b, c.c) if isinstance(c, hh.HHCoeffs)
+            else c.as_tuple6() + (c.a_123,))
+
+
+@pytest.mark.parametrize("family", ["werner3", "quo", "hh"])
+def test_no_module_dict_grows_with_the_states_swept(family):
+    """200 distinct states (hh: channels) at one d, and grid, leave every
+    module-level dict and functools cache of covwit as long as one state
+    does, and no key holds a coefficient."""
+    seen, decide = swept(family)
+    assert len({numbers(c) for c in seen}) == 200
+    decide(seen[0])
     dicts = module_dicts()
-    assert {"s3._CHECKED", "s3._GRIDS"} <= set(dicts)
+    assert {"s3._CHECKED", "s3._GRIDS", "hh._extremals()"} <= set(dicts)
     after_one = {name: len(v) for name, v in dicts.items()}
     for c in seen[1:]:
-        decide(c, grid=8)
+        decide(c)
     assert {name: len(v) for name, v in dicts.items()} == after_one
-    coeffs = {x for c in seen for x in c.as_tuple6() + (c.a_123,) if x}
+    coeffs = {x for c in seen for x in numbers(c) if x}
     held = [(name, k) for name, v in dicts.items() for k in v
-            if any(isinstance(x, s3.Coeffs)
+            if any(isinstance(x, (s3.Coeffs, hh.HHCoeffs))
                    or isinstance(x, (float, complex)) and x in coeffs
                    for x in flat(k))]
     assert not held, held

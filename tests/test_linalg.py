@@ -2,15 +2,17 @@
 checks."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from covwit import hh, oracle, quo, werner3
 from covwit.linalg import (MAX_DIM, ContractError, DimensionError, check_dense,
-                           check_hermitian, flip, identity, integer, is_psd,
-                           partial_transpose)
+                           check_hermitian, finite_number, flip, identity,
+                           integer, is_psd, partial_transpose)
 from covwit.twirl import build_V
 
 
@@ -44,6 +46,34 @@ def test_integer_rejects_non_integers(bad):
     for error in (DimensionError, ContractError):
         with pytest.raises(ContractError, match="d must be an integer"):
             integer(bad, "d", 2, error)
+
+
+class Real(float):
+    """A float that is not exactly float: finite_number's general path, with
+    float's repr in its message."""
+
+
+def finite_number_or_message(v, real):
+    try:
+        z = finite_number(v, "a", real)
+    except ContractError as e:
+        return str(e)
+    return type(z), repr(z.real), repr(z.imag)  # repr tells -0.0 from 0.0
+
+
+@given(st.floats(), st.booleans())
+def test_finite_number_float_fast_path_is_the_general_path(x, real):
+    """A float gives bit for bit the value a numpy float64 or a float
+    subclass gives through the general path, or the same ContractError."""
+    fast = finite_number_or_message(x, real)
+    assert fast == finite_number_or_message(Real(x), real)
+    if math.isfinite(x):
+        assert fast == finite_number_or_message(np.float64(x), real)
+    else:
+        assert fast == (f"a must be a finite {'real ' if real else ''}"
+                        f"number, got {x!r}")
+        with pytest.raises(ContractError):
+            finite_number(np.float64(x), "a", real)
 
 
 def test_integer_below_least_raises_the_given_class():
@@ -109,7 +139,9 @@ def test_partial_transpose_errors():
     lambda: partial_transpose(np.eye(4), [2, 2], 1.0),
     lambda: partial_transpose(np.eye(4), [2, 2], True),
     lambda: oracle.counterexample_vector(4, 3.0),
-], ids=["dims-float", "which-float", "which-bool", "counterexample-d-float"])
+    lambda: (hh.extremals(3), hh.extremals(3.0)),
+], ids=["dims-float", "which-float", "which-bool", "counterexample-d-float",
+        "extremals-d-float-after-int"])
 def test_integer_arguments_are_contract_errors(call):
     """Dimensions and factor indices go through the integer rule: a float
     or a bool is a ContractError, not numpy's TypeError or a silent 1."""
