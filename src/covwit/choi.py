@@ -8,7 +8,7 @@ realigned Choi matrix S[(i,j),(k,l)] = C[(i,k),(j,l)]: vec L(X) = vec X @ S.
 
 import numpy as np
 
-from .linalg import DimensionError, asmatrix, flip, identity, integer
+from .linalg import DimensionError, asmatrix, identity, integer
 
 
 def _realign(m, p, q, r, s):
@@ -75,6 +75,3 @@ def identity_map(d):
     v = identity(d).reshape(-1)
     return LinMap(d, d, np.outer(v, v))
 
-
-def transpose_map(d):
-    return LinMap(d, d, flip(d))

@@ -62,7 +62,7 @@ def cmd_certify(args):
         else:
             from .quo import QuoCoeffs as cls, decide_quo as decide
         c = cls.from_tuple6(args.d, parse_coeffs(args.coeffs))
-        cert = decide(c, **({} if args.grid is None else {"grid": args.grid}))
+        cert = decide(c)
     emit_certificate(cert, args)
     return 0
 
@@ -236,7 +236,6 @@ def build_parser():
         cf.add_argument("--d", type=int, required=True)
         cf.add_argument("--coeffs", required=True,
                         help="ae,a12,a13,a23,re123,im123")
-        cf.add_argument("--grid", type=int)  # no default: s3.GRID applies
         cf.add_argument("--json", default=None)
 
     st = sub.add_parser("state", help="build a named state")

@@ -26,8 +26,8 @@ from .certificate import Certificate
 from .linalg import (EQ_TOL, ContractError, NumericalError, check_dense,
                      classify, finite_number, integer, least)
 
-GRID = 16  # default witness grid of both decision functions and --grid
-MAX_GRID = 256  # a catalogue holds about 4 grid^2 rows
+GRID = 16  # default of detect_entanglement_w3 and decide_quo, so of certify
+MAX_GRID = 256  # grid_size's cap, also on sweep hh; ~4 grid^2 catalogue rows
 
 PERMS = ("e", "12", "13", "23", "123", "132")
 # CYCLES[s][t] is the number of cycles of PERMS[s] o PERMS[t], so that

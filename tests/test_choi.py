@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covwit import hh, werner3
-from covwit.choi import (LinMap, identity_map, max_entangled, transpose_map)
+from covwit.choi import LinMap, identity_map, max_entangled
 from covwit.linalg import (ContractError, DimensionError, flip,
                            partial_transpose)
 from covwit.s3 import PERMS
@@ -31,11 +31,10 @@ def test_max_entangled():
     assert np.abs(ev[:-1]).max() < 1e-14 and np.isclose(ev[-1], 1.0)
 
 
-def test_identity_and_transpose_chois():
+def test_identity_choi_is_max_entangled():
     d = 3
     assert np.allclose(identity_map(d).choi(normalized=True),
                        max_entangled(d))
-    assert np.allclose(transpose_map(d).choi(normalized=False), flip(d))
 
 
 def test_choi_roundtrip_apply():
@@ -81,7 +80,7 @@ def test_id_tensor_on_product_states():
 def test_id_tensor_transpose_is_partial_transpose():
     rng = np.random.default_rng(3)
     rho = random_hermitian(rng, 12)
-    out = transpose_map(3).id_tensor(rho, 4)
+    out = LinMap(3, 3, flip(3)).id_tensor(rho, 4)
     assert np.allclose(out, partial_transpose(rho, [4, 3], 1))
 
 

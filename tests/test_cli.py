@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from covwit import linalg, s3, serialize, werner3
+from covwit import linalg, quo, s3, serialize, werner3
 from covwit.cli import main, parse_coeffs, parse_number
 from covwit.linalg import ContractError
 from covwit.werner3 import rho_t_coeffs
@@ -71,49 +71,54 @@ def test_library_and_cli_share_the_witness_grid_default(capsys):
 
 
 @pytest.mark.parametrize("family", ["werner3", "quo"])
-def test_certify_without_grid_is_grid_16(family, tmp_path):
-    """--grid has no parser default: the decision function's own default
-    applies, and the certificate is the one --grid 16 writes."""
+def test_certify_without_grid_is_grid_16(family, tmp_path, capsys):
+    """`certify` writes the library's default certificate, the grid-16 one,
+    and refuses --grid like any unknown argument."""
     argv = ["certify", family, "--d", "3", "--coeffs", "1/27,0,0,0,0,0"]
-    paths = [tmp_path / f"{g}.json" for g in ("none", "16", "8")]
-    assert run(argv + ["--json", str(paths[0])]) == 0
-    for path, grid in zip(paths[1:], ("16", "8")):
-        assert run(argv + ["--grid", grid, "--json", str(path)]) == 0
-    none, g16, g8 = (p.read_bytes() for p in paths)
-    assert none == g16 != g8
+    out = tmp_path / "cert.json"
+    assert run(argv + ["--json", str(out)]) == 0
+    cls, decide = ((werner3.S3Coeffs, werner3.detect_entanglement_w3)
+                   if family == "werner3" else (quo.QuoCoeffs, quo.decide_quo))
+    c = cls.from_tuple6(3, parse_coeffs("1/27,0,0,0,0,0"))
+    g16 = decide(c, grid=16).to_json()
+    assert out.read_text() == decide(c).to_json() == g16
+    assert g16 != decide(c, grid=8).to_json()
+    capsys.readouterr()
+    _one_line_error(capsys, argv + ["--grid", "16"])
 
 
 def test_certify_werner3_ppt_entangled_state_at_every_grid(tmp_path):
     """An A-BC-PPT state that L0 and every grid-2 row miss is ENTANGLED by
-    the same exact Type III witness at grid 2, 16 and 64."""
+    the same exact Type III witness at grid 2, 16 and 64, and `certify`
+    writes the grid-16 certificate."""
     coeffs = ("166523776510/5029999975503,1936168780/186296295389,"
               "-15874292672/1676666658501,2521386712/558888886167,"
               "3552377465/372592590778,0")
-    certs = []
-    for grid in ("2", "16", "64"):
-        out = tmp_path / f"g{grid}.json"
-        assert run(["certify", "werner3", "--d", "3", "--coeffs", coeffs,
-                    "--grid", grid, "--json", str(out)]) == 0
-        certs.append(json.loads(out.read_text()))
+    state = werner3.S3Coeffs.from_tuple6(3, parse_coeffs(coeffs))
+    certs = [json.loads(werner3.detect_entanglement_w3(state, grid=g)
+                        .to_json()) for g in (2, 16, 64)]
     assert all(c["verdict"] == "ENTANGLED" for c in certs)
     assert certs[0]["checks"]["ppt_A-BC"]["verdict"] == "true"
     assert certs[0]["witnesses"][1]["id"].startswith("III[")
     assert certs[0]["witnesses"] == certs[1]["witnesses"] == certs[2][
         "witnesses"]
+    out = tmp_path / "cert.json"
+    assert run(["certify", "werner3", "--d", "3", "--coeffs", coeffs,
+                "--json", str(out)]) == 0
+    assert json.loads(out.read_text()) == certs[1]
 
 
 def test_certify_werner3_rho_t(capsys):
     c = rho_t_coeffs(3, 1.0)
     coeffs = ",".join("%.17g" % v for v in c.as_tuple6())
-    code = run(["certify", "werner3", "--d", "3", "--coeffs", coeffs,
-                "--grid", "8"])
+    code = run(["certify", "werner3", "--d", "3", "--coeffs", coeffs])
     assert code == 0
     assert "verdict: ENTANGLED" in capsys.readouterr().out
 
 
 def test_certify_quo_mixed_state(capsys):
     code = run(["certify", "quo", "--d", "3", "--coeffs",
-                "1/27,0,0,0,0,0", "--grid", "6"])
+                "1/27,0,0,0,0,0"])
     assert code == 0
     assert "verdict: SEPARABLE" in capsys.readouterr().out
 
@@ -259,10 +264,6 @@ def test_exit_code_invalid_input(capsys):
                 str(s3.MAX_GRID + 1)]) == 1
     assert run(["twirl", "--family", "oo", "--matrix-file",
                 "/nonexistent.json"]) == 1
-    assert run(["certify", "werner3", "--d", "3", "--coeffs",
-                "1/27,0,0,0,0,0", "--grid", "0"]) == 1
-    assert run(["certify", "quo", "--d", "3", "--coeffs",
-                "1/27,0,0,0,0,0", "--grid", "-3"]) == 1
     # the trace bound grows with the trace's terms, not with d^3 alone
     for fam in ("werner3", "quo"):
         for d in (2155, 10**4):
@@ -270,8 +271,6 @@ def test_exit_code_invalid_input(capsys):
                         "0,0,0,0,0,0"]) == 1
         assert run(["certify", fam, "--d", "465", "--coeffs",
                     f"{0.99 / 465**3!r},0,0,0,0,0"]) == 1
-    assert run(["certify", "werner3", "--d", "3", "--coeffs",
-                "1/27,0,0,0,0,0", "--grid", str(s3.MAX_GRID + 1)]) == 1
     capsys.readouterr()
     huge = str(linalg.MAX_INT + 1)  # past the largest exact float integer
     for argv in (["certify", "hh", "--a", "1", "--b", "0", "--c", "0"],

@@ -3,7 +3,7 @@
 Every run of `certify`, `witness apply` and `twirl` exits 0, 1 or 2.  A
 failing run prints exactly one line on stderr: no traceback and no numpy
 warning.  A successful run prints no non-finite number.  Sizes stay small
-(d <= 4, grid <= 4) so the whole module runs in seconds; entries reach
+(d <= 4) so the whole module runs in seconds; entries reach
 +-1e308, so overflow is in range.
 """
 
@@ -103,13 +103,13 @@ def map_obj(draw):
 
 @settings(max_examples=150)
 @given(family=st.sampled_from(["hh", "werner3", "quo"]), d=int_token,
-       values=st.lists(token, min_size=3, max_size=7), grid=int_token)
-def test_certify_argv(family, d, values, grid):
+       values=st.lists(token, min_size=3, max_size=7))
+def test_certify_argv(family, d, values):
     argv = ["certify", family, "--d", d]
     if family == "hh":
         argv += ["--a", values[0], "--b", values[1], "--c", values[2]]
     else:
-        argv += ["--coeffs", ",".join(values), "--grid", grid]
+        argv += ["--coeffs", ",".join(values)]
     check_run(argv)
 
 
@@ -122,7 +122,7 @@ def test_certify_normalized_large_coefficients(d, v, family):
     coeffs = (1.0,) + v
     if np.isfinite(tr) and tr != 0:
         coeffs = tuple(x / tr for x in coeffs)
-    check_run(["certify", family, "--d", str(d), "--grid", "3",
+    check_run(["certify", family, "--d", str(d),
                "--coeffs=" + ",".join(repr(float(x)) for x in coeffs)])
 
 

@@ -1,12 +1,14 @@
 """Every module under src/covwit, tests and demos uses each name it
 imports, the closed-form modules import no numpy, the only tolerances are
 linalg's PSD_TOL and EQ_TOL, the CLI loads only the modules a command
-uses, and no module-level dict or functools cache grows with the states a
-decision sees."""
+uses, no module-level dict or functools cache grows with the states a
+decision sees, and every covwit name the benchmark under perfbench/ reads
+exists."""
 
 import ast
 import gc
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -215,3 +217,70 @@ def test_no_module_dict_grows_with_the_states_swept(family):
                    or isinstance(x, (float, complex)) and x in coeffs
                    for x in flat(k))]
     assert not held, held
+
+
+def resolve(dotted):
+    """The object a dotted name names, or None; every covwit module is
+    imported first, so `covwit.cli` is an attribute of covwit."""
+    import covwit
+
+    for info in pkgutil.iter_modules(covwit.__path__):
+        importlib.import_module(f"covwit.{info.name}")
+    head, *rest = dotted.split(".")
+    obj = importlib.import_module(head)
+    for part in rest:
+        obj = getattr(obj, part, None)
+    return obj
+
+
+def test_every_benchmark_span_target_resolves():
+    """perfbench/spans.py patches each (owner, attribute) of TARGETS; a
+    target deleted from covwit would otherwise fail only the benchmark's
+    own tests."""
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench/spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{owner}.{attr}" for owner, attr, _ in spans.TARGETS
+               if resolve(f"{owner.replace(':', '.')}.{attr}") is None]
+    assert not missing, missing
+
+
+def covwit_reads(path):
+    """Dotted covwit names that path reads: each name it imports from a
+    covwit module, and each attribute chain it reads off a covwit name it
+    imports (`werner3.rho_t`, `covwit.cli.main`)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, reads = {}, set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "covwit"):
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = name
+                reads.add(name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "covwit":
+                    bound[alias.asname or "covwit"] = (
+                        alias.name if alias.asname else "covwit")
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            reads.add(".".join([bound[node.id]] + chain[::-1]))
+    return reads
+
+
+def test_every_covwit_name_the_benchmark_reads_exists():
+    reads = {name: path.name
+             for path in sorted((ROOT / "perfbench").glob("*.py"))
+             for name in covwit_reads(path)}
+    assert {"covwit.cli.main", "covwit.hh.HHCoeffs", "covwit.werner3.rho_t",
+            "covwit.werner3.build_V",
+            "covwit.linalg.partial_transpose"} <= set(reads)
+    missing = [f"{path}: {name}" for name, path in sorted(reads.items())
+               if resolve(name) is None]
+    assert not missing, missing
